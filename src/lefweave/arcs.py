@@ -121,23 +121,20 @@ def _artin_letter(idx, s, k, sign):
 def _act_sigma(triple, k, sign):
     """Transform an arc triple by sigma_k^sign (sign = +-1)."""
     i, j, w = triple
-    out = []
-    for idx, s in w:
-        out.extend(_artin_letter(idx, s, k, sign))
-    w = _free_reduce(out)
-    # connector letters for endpoints dragged through the upper half-disk
-    if sign > 0:
-        if i == k + 1:
-            w = _free_reduce(((k + 1, 1),) + w)
-        if j == k + 1:
-            w = _free_reduce(w + ((k + 1, -1),))
-    else:
-        if i == k:
-            w = _free_reduce(((k, -1),) + w)
-        if j == k:
-            w = _free_reduce(w + ((k, 1),))
+    # connector letters for endpoints dragged through the upper half-disk;
+    # the reduced word is unique, so one reduction at the end suffices
+    dragged = k + 1 if sign > 0 else k
+    out = [(dragged, sign)] if i == dragged else []
+    for letter in w:
+        if letter[0] == k or letter[0] == k + 1:
+            out.extend(_artin_letter(letter[0], letter[1], k, sign))
+        else:
+            # sigma_k fixes every other loop
+            out.append(letter)
+    if j == dragged:
+        out.append((dragged, -sign))
     swap = {k: k + 1, k + 1: k}
-    return (swap.get(i, i), swap.get(j, j), w)
+    return (swap.get(i, i), swap.get(j, j), _free_reduce(out))
 
 
 def _apply_gens(triple, gens):
@@ -234,16 +231,8 @@ class MatchingArc:
 
     def _mapping_gens(self):
         if self._gens is None:
-            out = []
-            for arc, power in self.word:
-                if power == 0:
-                    continue
-                inner = arc._mapping_gens()
-                core = [(arc.base_index, 1 if power > 0 else -1)] * abs(power)
-                out.extend(inner)
-                out.extend(core)
-                out.extend((k, -s) for k, s in reversed(inner))
-            self._gens = tuple(out)
+            self._gens = tuple(g for arc, power in self.word
+                               for g in _letter_gens(arc, power))
         return self._gens
 
     def triple(self):
@@ -291,6 +280,16 @@ class MatchingArc:
     def __repr__(self):
         i, j, _ = self.canonical()
         return "MatchingArc(%d-%d, coords=%r)" % (i, j, self.coords)
+
+
+def _letter_gens(arc, power):
+    """Sigma-letters of one half-twist letter: the arc's mapping class
+    conjugating the base edge's twist to the power."""
+    if power == 0:
+        return ()
+    inner = arc._mapping_gens()
+    core = ((arc.base_index, 1 if power > 0 else -1),) * abs(power)
+    return inner + core + tuple((k, -s) for k, s in reversed(inner))
 
 
 class ArcSystem:
@@ -346,9 +345,14 @@ def apply_half_twist(system, arc, target, power=1):
             word = rest
         else:
             word = ((arc, merged),) + rest
-    else:
-        word = ((arc, power),) + word
-    return MatchingArc(system, target.base_index, word)
+        return MatchingArc(system, target.base_index, word)
+    image = MatchingArc(system, target.base_index, ((arc, power),) + word)
+    if target._triple is not None:
+        # gens(image) = gens(letter) + gens(target), applied right to left
+        letter = _letter_gens(arc, power)
+        image._gens = letter + target._gens
+        image._triple = _apply_gens(target._triple, letter)
+    return image
 
 
 def arcs_isotopic(system, a, b):

@@ -78,10 +78,10 @@ def _build_cycle(fiber, ast):
     except KeyError:
         raise CliError("unknown catalogue arc %r" % label,
                        known=sorted(system.catalogue))
-    if arc.endpoints() != tuple(sorted((i, j))):
+    if arc.endpoints != tuple(sorted((i, j))):
         raise CliError(
             "catalogue arc %r joins points %s, not (%d, %d)"
-            % (label, arc.endpoints(), i, j))
+            % (label, arc.endpoints, i, j))
     return VanishingCycle(fiber.lattice, induced_word(system, arc), arc=arc)
 
 

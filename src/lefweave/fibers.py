@@ -179,9 +179,10 @@ def attach_stabilizing_handle(fiber, pairings, label):
     old = fiber.lattice.gram
     flip = 1 if n % 2 == 0 else -1
     gram = tuple(
-        tuple(old[i]) + (flip * pairings[i],) for i in range(rank)
+        old[i] + (flip * pairings[i],) for i in range(rank)
     ) + (pairings + (_self_pairing(n),),)
-    lattice = IntLattice(gram, n)
+    # a valid gram bordered this way keeps its symmetry: no re-check
+    lattice = IntLattice._of(gram, n)
     stab = dict(fiber.stabilizing_spheres)
     stab[label] = pairings
     model = FiberModel(lattice, fiber.basis_labels + (label,), stab,

@@ -33,7 +33,7 @@ def _as_int_rows(rows):
 class IntLattice:
     """A finitely generated free abelian group with an integer Gram form."""
 
-    __slots__ = ("gram", "n", "rank")
+    __slots__ = ("gram", "n", "rank", "_hash")
 
     def __init__(self, gram, n):
         gram = _as_int_rows(gram)
@@ -60,9 +60,20 @@ class IntLattice:
                         raise LatticeError(
                             "gram must be antisymmetric for odd n", i=i, j=j
                         )
+        self._fill(gram, int(n))
+
+    @classmethod
+    def _of(cls, gram, n):
+        """Build from int rows that already have the parity's symmetry."""
+        self = object.__new__(cls)
+        self._fill(gram, n)
+        return self
+
+    def _fill(self, gram, n):
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rank", len(gram))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntLattice is immutable")
@@ -92,7 +103,9 @@ class IntLattice:
         )
 
     def __hash__(self):
-        return hash((self.gram, self.n))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.gram, self.n)))
+        return self._hash
 
     def __repr__(self):
         return "IntLattice(rank=%d, n=%d)" % (self.rank, self.n)
@@ -101,11 +114,21 @@ class IntLattice:
 class SphereClass:
     """An integer homology class; equality and hashing use coordinates only."""
 
-    __slots__ = ("coords", "label")
+    __slots__ = ("coords", "label", "_hash")
 
     def __init__(self, coords, label=None):
         object.__setattr__(self, "coords", tuple(int(c) for c in coords))
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, coords, label=None):
+        """Build from a tuple of ints the engine computed: no coercion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SphereClass is immutable")
@@ -114,7 +137,9 @@ class SphereClass:
         return isinstance(other, SphereClass) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.coords))
+        return self._hash
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -135,7 +160,7 @@ class TwistWord:
     applied.
     """
 
-    __slots__ = ("letters", "base")
+    __slots__ = ("letters", "base", "_hash")
 
     def __init__(self, letters, base):
         reduced = []
@@ -147,11 +172,21 @@ class TwistWord:
                 merged = reduced[-1][1] + exp
                 reduced.pop()
                 if merged != 0:
-                    reduced.append((reduced_center(center), merged))
+                    reduced.append((center, merged))
             else:
-                reduced.append((reduced_center(center), exp))
+                reduced.append((center, exp))
         object.__setattr__(self, "letters", tuple(reduced))
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, letters, base):
+        """Build from letters that are already freely reduced."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TwistWord is immutable")
@@ -160,8 +195,21 @@ class TwistWord:
         return not self.letters
 
     def prepend(self, center, exp):
-        """New word with one more (outermost) letter, freely reduced."""
-        return TwistWord(((center, exp),) + self.letters, self.base)
+        """New word with one more (outermost) letter, freely reduced.
+
+        The letters are already reduced, so only the first can merge.
+        """
+        exp = int(exp)
+        letters = self.letters
+        if exp == 0:
+            return self
+        if letters and letters[0][0].coords == center.coords:
+            merged = letters[0][1] + exp
+            if merged == 0:
+                return TwistWord._of(letters[1:], self.base)
+            return TwistWord._of(((letters[0][0], merged),) + letters[1:],
+                                 self.base)
+        return TwistWord._of(((center, exp),) + letters, self.base)
 
     def __eq__(self, other):
         return (
@@ -171,17 +219,13 @@ class TwistWord:
         )
 
     def __hash__(self):
-        return hash((self.letters, self.base))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.letters, self.base)))
+        return self._hash
 
     def __repr__(self):
         parts = ["tw(%r)^%d" % (c.coords, e) for c, e in self.letters]
         return "TwistWord(%s | %r)" % (" ".join(parts) or "1", self.base.coords)
-
-
-def reduced_center(center):
-    # letters keep the original object; helper exists so merged letters keep
-    # the first-seen label rather than allocating a new class
-    return center
 
 
 def pairing(L, x, y):
@@ -202,36 +246,34 @@ def pairing(L, x, y):
     return total
 
 
-def _check_center(L, S):
-    required = L.twist_center_self_pairing()
-    if L.n % 2 == 0 and pairing(L, S, S) != required:
-        raise LatticeError(
-            "invalid twist center: self-pairing must be %d for n=%d"
-            % (required, L.n),
-            self_pairing=pairing(L, S, S),
-        )
-
-
 def dehn_twist(L, S, x):
     """tau_S(x) = x + eps_n <x,S> S."""
     return twist_power(L, S, x, 1)
 
 
 def twist_power(L, S, x, exponent):
-    """Apply tau_S^exponent exactly (closed form, valid for any integer)."""
-    _check_center(L, S)
+    """Apply tau_S^exponent exactly (closed form, valid for any integer).
+
+    For n even the center's self-pairing is checked on every call.
+    """
     if L.n % 2 == 0:
+        self_pairing = pairing(L, S, S)
+        required = L.twist_center_self_pairing()
+        if self_pairing != required:
+            raise LatticeError(
+                "invalid twist center: self-pairing must be %d for n=%d"
+                % (required, L.n),
+                self_pairing=self_pairing,
+            )
         # involution on the lattice: only exponent parity matters
         if exponent % 2 == 0:
-            return SphereClass(x.coords)
-        eps = -2 // pairing(L, S, S)
-        m = eps * pairing(L, x, S)
+            return SphereClass._of(x.coords)
+        m = (-2 // self_pairing) * pairing(L, x, S)
     else:
         # transvection: tau^m(x) = x + m <x,S> S
         m = exponent * pairing(L, x, S)
-    return SphereClass(
-        tuple(x.coords[i] + m * S.coords[i] for i in range(L.rank))
-    )
+    return SphereClass._of(
+        tuple(xi + m * si for xi, si in zip(x.coords, S.coords)))
 
 
 def evaluate_word(L, w):
@@ -239,7 +281,7 @@ def evaluate_word(L, w):
     result = w.base
     for center, exp in reversed(w.letters):
         result = twist_power(L, center, result, exp)
-    return SphereClass(result.coords)
+    return SphereClass._of(result.coords)
 
 
 def smith_normal_form(M):

@@ -12,7 +12,8 @@ positions are 1-based and cyclic: position i acts on the adjacent pair
 
 from .arcs import apply_half_twist
 from .fibers import FiberModel, attach_stabilizing_handle
-from .lattice import IntLattice, SphereClass, TwistWord, evaluate_word, pairing
+from .lattice import IntLattice, SphereClass, TwistWord, evaluate_word, \
+    pairing, twist_power
 
 
 class MoveError(ValueError):
@@ -26,22 +27,42 @@ class MoveError(ValueError):
 class VanishingCycle:
     """A vanishing cycle: symbolic twist word, cached class, flags.
 
-    The class is always recomputed from the word, so the cache cannot go
-    stale.  ``stabilization_sphere`` marks cycles introduced by a
-    stabilize step; ``loose_certified`` is set by the certificate layer.
+    Invariant: ``klass == evaluate_word(lattice, word)``.  The public
+    constructor evaluates the word.  The moves below instead derive the
+    class of a new cycle from cached classes, by one twist or a shift
+    into a larger lattice, which gives the same value exactly.  The
+    engine-consistency tests check the invariant after random moves, and
+    verify_certificate's independent replay re-evaluates every word.
+    ``stabilization_sphere`` marks cycles introduced by a stabilize step;
+    ``loose_certified`` is set by the certificate layer.
     """
 
     __slots__ = ("word", "klass", "arc", "stabilization_sphere",
-                 "loose_certified")
+                 "loose_certified", "_hash", "_grown")
 
     def __init__(self, lattice, word, arc=None, stabilization_sphere=False,
                  loose_certified=False):
+        self._fill(word, evaluate_word(lattice, word), arc,
+                   stabilization_sphere, loose_certified)
+
+    @classmethod
+    def _derived(cls, word, klass, arc=None, stabilization_sphere=False,
+                 loose_certified=False):
+        """A cycle whose class the caller derived exactly from the word."""
+        self = object.__new__(cls)
+        self._fill(word, klass, arc, stabilization_sphere, loose_certified)
+        return self
+
+    def _fill(self, word, klass, arc, stabilization_sphere, loose_certified):
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "klass", evaluate_word(lattice, word))
+        object.__setattr__(self, "klass", klass)
         object.__setattr__(self, "arc", arc)
         object.__setattr__(self, "stabilization_sphere",
                            bool(stabilization_sphere))
         object.__setattr__(self, "loose_certified", bool(loose_certified))
+        object.__setattr__(self, "_hash", None)
+        # this cycle embedded by (0, 1), shared by every stabilize child
+        object.__setattr__(self, "_grown", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VanishingCycle is immutable")
@@ -56,7 +77,9 @@ class VanishingCycle:
         return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key()))
+        return self._hash
 
     def __repr__(self):
         flags = []
@@ -85,7 +108,7 @@ class LefschetzDatum:
     cycles clear it.
     """
 
-    __slots__ = ("fiber", "cycles", "sf_spheres")
+    __slots__ = ("fiber", "cycles", "sf_spheres", "_hash")
 
     def __init__(self, fiber, cycles, sf_spheres=()):
         cycles = tuple(cycles)
@@ -98,6 +121,7 @@ class LefschetzDatum:
         object.__setattr__(self, "fiber", fiber)
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "sf_spheres", tuple(sf_spheres))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LefschetzDatum is immutable")
@@ -123,39 +147,48 @@ class LefschetzDatum:
         return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key()))
+        return self._hash
 
     def __repr__(self):
         return "LefschetzDatum(rank=%d, k=%d, n=%d)" % (
             self.fiber.lattice.rank, len(self.cycles), self.n)
 
 
-def _pad_class(s, extra):
-    if extra == 0:
-        return s
-    return SphereClass(s.coords + (0,) * extra, label=s.label)
-
-
 def _shift_class(s, before, after):
-    return SphereClass((0,) * before + s.coords + (0,) * after,
-                       label=s.label)
+    return SphereClass._of((0,) * before + s.coords + (0,) * after,
+                           label=s.label)
 
 
 def _embed_word(word, before, after):
-    return TwistWord(
+    return TwistWord._of(
         tuple((_shift_class(c, before, after), e) for c, e in word.letters),
         _shift_class(word.base, before, after),
     )
 
 
-def _embed_cycle(lattice, cyc, before, after, keep_arc=True):
-    return VanishingCycle(
-        lattice,
+def _embed_cycle(cyc, before, after, keep_arc=True):
+    """The cycle in a lattice grown by ``before`` and ``after`` new basis
+    vectors around the old ones, with no old pairing changed.
+
+    Every center stays orthogonal to the new vectors, so each twist acts
+    on the shifted coordinates as before: the class is the shifted class.
+    """
+    return VanishingCycle._derived(
         _embed_word(cyc.word, before, after),
+        _shift_class(cyc.klass, before, after),
         arc=cyc.arc if keep_arc else None,
         stabilization_sphere=cyc.stabilization_sphere,
         loose_certified=cyc.loose_certified,
     )
+
+
+def _grow_cycle(cyc):
+    """The cycle embedded by (0, 1) for one more handle, built once."""
+    if cyc._grown is None:
+        object.__setattr__(cyc, "_grown", _embed_cycle(cyc, 0, 1))
+    return cyc._grown
 
 
 def _pair_positions(D, i):
@@ -167,17 +200,27 @@ def _pair_positions(D, i):
     return i - 1, i % k
 
 
+def _twisted_cycle(D, center, target, exp):
+    """tau_center^exp of the target cycle, from the two cached classes.
+
+    The class is exact even when the new letter merges into the word's
+    first one: tau^(a+exp) = tau^exp after tau^a.
+    """
+    arc = None
+    sys = D.fiber.arc_system
+    if sys is not None and center.arc is not None and target.arc is not None:
+        arc = apply_half_twist(sys, center.arc, target.arc, exp)
+    klass = twist_power(D.fiber.lattice, center.klass, target.klass, exp)
+    return VanishingCycle._derived(target.word.prepend(center.klass, exp),
+                                   klass, arc=arc)
+
+
 def hurwitz_left(D, i):
     """(..., V_i, V_{i+1}, ...) -> (..., tau_{V_i} V_{i+1}, V_i, ...)."""
     a, b = _pair_positions(D, i)
     vi, vj = D.cycles[a], D.cycles[b]
-    word = vj.word.prepend(vi.klass, 1)
-    arc = None
-    sys = D.fiber.arc_system
-    if sys is not None and vi.arc is not None and vj.arc is not None:
-        arc = apply_half_twist(sys, vi.arc, vj.arc, 1)
     cycles = list(D.cycles)
-    cycles[a] = VanishingCycle(D.fiber.lattice, word, arc=arc)
+    cycles[a] = _twisted_cycle(D, vi, vj, 1)
     cycles[b] = vi
     return LefschetzDatum(D.fiber, cycles)
 
@@ -186,14 +229,9 @@ def hurwitz_right(D, i):
     """(..., V_i, V_{i+1}, ...) -> (..., V_{i+1}, tau^-1_{V_{i+1}} V_i, ...)."""
     a, b = _pair_positions(D, i)
     vi, vj = D.cycles[a], D.cycles[b]
-    word = vi.word.prepend(vj.klass, -1)
-    arc = None
-    sys = D.fiber.arc_system
-    if sys is not None and vi.arc is not None and vj.arc is not None:
-        arc = apply_half_twist(sys, vj.arc, vi.arc, -1)
     cycles = list(D.cycles)
     cycles[a] = vj
-    cycles[b] = VanishingCycle(D.fiber.lattice, word, arc=arc)
+    cycles[b] = _twisted_cycle(D, vj, vi, -1)
     return LefschetzDatum(D.fiber, cycles)
 
 
@@ -208,7 +246,7 @@ def stabilize(D, pairings, label):
     """Attach a fiber handle and append its sphere as a new cycle."""
     fiber, sphere = attach_stabilizing_handle(D.fiber, pairings, label)
     lattice = fiber.lattice
-    cycles = [_embed_cycle(lattice, c, 0, 1) for c in D.cycles]
+    cycles = [_grow_cycle(c) for c in D.cycles]
     cycles.append(trivial_cycle(lattice, sphere, stabilization_sphere=True))
     return LefschetzDatum(fiber, cycles)
 
@@ -244,15 +282,16 @@ def subflexibilize(D, disk_pairings, labels=None):
             fiber, p + (0,) * attached, label)
         attached += 1
         lattice = fiber.lattice
-        cycles = [_embed_cycle(lattice, c, 0, 1) for c in cycles]
+        cycles = [_grow_cycle(c) for c in cycles]
         target = cycles[pos - 1]
         hits = pairing(lattice, sphere, target.klass)
         if abs(hits) != 1:
             raise MoveError(
                 "attaching disk must meet its cycle exactly once",
                 i=pos, pairing=hits)
-        cycles[pos - 1] = VanishingCycle(
-            lattice, target.word.prepend(sphere, 2))
+        cycles[pos - 1] = VanishingCycle._derived(
+            target.word.prepend(sphere, 2),
+            twist_power(lattice, sphere, target.klass, 2))
         provenance.append((pos, label))
     if attached == 0:
         return LefschetzDatum(D.fiber, D.cycles, sf_spheres=D.sf_spheres)
@@ -289,10 +328,8 @@ def boundary_connect_sum(D1, D2):
         stab[rename[lab]] = vec
     fiber = FiberModel(lattice, labels, stab)
     # arcs live in each summand's own disk model; the sum has none
-    cycles = [_embed_cycle(lattice, c, 0, r2, keep_arc=False)
-              for c in D1.cycles]
-    cycles += [_embed_cycle(lattice, c, r1, 0, keep_arc=False)
-               for c in D2.cycles]
+    cycles = [_embed_cycle(c, 0, r2, keep_arc=False) for c in D1.cycles]
+    cycles += [_embed_cycle(c, r1, 0, keep_arc=False) for c in D2.cycles]
     return LefschetzDatum(fiber, cycles)
 
 

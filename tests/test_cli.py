@@ -213,3 +213,27 @@ def test_format_move_all_tags():
     assert format_move(("subflex", (((1,), None),))) == "subflex [[1], none]"
     assert format_move(("bsum", (None,)), label="D") == "bsum D"
     assert format_move(("bsum", (None,))) == "bsum <datum>"
+
+
+def test_run_catalogue_arc_matches_basis_twin(tmp_path):
+    def run_file(name, cycle):
+        path = tmp_path / name
+        path.write_text(
+            "fiber a3 = ak 4 n=2\n"
+            "datum A over a3 = [%s, e2]\n"
+            "print invariants A\n" % cycle, encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "lefweave.cli", "run", str(path)],
+            cwd=REPO, capture_output=True)
+
+    arc = run_file("arc.lef", "arc(1,2; a1)")
+    twin = run_file("twin.lef", "e1")
+    assert arc.returncode == 0 and arc.stderr == b"", arc.stderr
+    assert twin.returncode == 0
+    assert json.loads(arc.stdout)["results"] == \
+        json.loads(twin.stdout)["results"]
+
+    wrong = run_file("wrong.lef", "arc(1,3; a1)")
+    assert wrong.returncode == 2 and wrong.stdout == b""
+    assert b"joins points (1, 2), not (1, 3)" in wrong.stderr
+    assert b"Traceback" not in wrong.stderr
