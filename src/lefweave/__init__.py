@@ -7,3 +7,11 @@ a small line-oriented scripting language (see the ``lefweave`` command).
 """
 
 __version__ = "0.1.0"
+
+
+class LefweaveError(ValueError):
+    """Base of every lefweave error: a message plus keyword context."""
+
+    def __init__(self, message, **context):
+        super().__init__(message)
+        self.context = dict(context)

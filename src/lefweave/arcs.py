@@ -43,35 +43,13 @@ is a real cross-check rather than a tautology. The diagram route lives in
 the antisymmetric (fiber dimension odd) lattice by nature.
 """
 
-from .lattice import IntLattice, SphereClass, TwistWord, twist_power
+from . import LefweaveError
+from .lattice import IntLattice, SphereClass, TwistWord, plumbing_gram, \
+    twist_power
 
 
-class ArcError(ValueError):
+class ArcError(LefweaveError):
     """Raised for malformed or mismatched arc-system operations."""
-
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = dict(context)
-
-
-def _a_path_gram(rank, n):
-    """Gram matrix of the A_rank chain of spheres in parity n."""
-    if n % 2 == 0:
-        diag = 2 if (n * (n + 1) // 2) % 2 == 0 else -2
-        return tuple(
-            tuple(
-                diag if i == j else (1 if abs(i - j) == 1 else 0)
-                for j in range(rank)
-            )
-            for i in range(rank)
-        )
-    return tuple(
-        tuple(
-            1 if j == i + 1 else (-1 if j == i - 1 else 0)
-            for j in range(rank)
-        )
-        for i in range(rank)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +284,11 @@ class ArcSystem:
             raise ArcError("fiber dimension must be positive", n=n)
         self.m = m
         self.n = n
-        self.lattice = IntLattice(_a_path_gram(m - 1, n), n)
+        chain = [(k, k + 1, 1) for k in range(m - 2)]
+        self.lattice = IntLattice(plumbing_gram(m - 1, chain, n), n)
         self.catalogue = {}
         for k in range(1, m):
             self.catalogue["a%d" % k] = MatchingArc(self, k)
-
-    def register(self, label, arc):
-        if label in self.catalogue:
-            raise ArcError("catalogue label already used", label=label)
-        self.catalogue[label] = arc
 
     def __repr__(self):
         return "ArcSystem(m=%d, n=%d)" % (self.m, self.n)

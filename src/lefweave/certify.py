@@ -19,29 +19,24 @@ the trace.
 
 from collections import namedtuple
 
-from .fibers import FiberError, attach_stabilizing_handle
-from .lattice import LatticeError, SphereClass, TwistWord, evaluate_word, \
-    pairing
+from . import LefweaveError
+from .lattice import TwistWord, evaluate_word, pairing
 from .presentation import (
     LefschetzDatum,
-    MoveError,
     VanishingCycle,
     boundary_connect_sum,
     hurwitz_left,
     hurwitz_right,
     rotate,
     stabilize,
+    stabilize_label,
     subflexibilize,
     trivial_cycle,
 )
 
 
-class CertifyError(ValueError):
+class CertifyError(LefweaveError):
     """Raised when a certificate step's precondition fails."""
-
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = dict(context)
 
 
 Certificate = namedtuple(
@@ -49,8 +44,6 @@ Certificate = namedtuple(
 
 VerifyResult = namedtuple(
     "VerifyResult", ("accepted", "trace", "reason", "final"))
-
-_STEP_ERRORS = (MoveError, CertifyError, FiberError, LatticeError)
 
 
 def _cyclic_pair(D, i):
@@ -120,28 +113,84 @@ def insert_sphere(D, after, label):
     return LefschetzDatum(D.fiber, cycles)
 
 
+def _bsum(D, other):
+    if not isinstance(other, LefschetzDatum):
+        raise CertifyError("bsum argument must be a datum")
+    return boundary_connect_sum(D, other)
+
+
+_Step = namedtuple("_Step", ("word", "kinds", "run"))
+
+# One row per move tag: the word that scripts and move texts use, the
+# kinds of the step's arguments, and the engine call.  The calls go
+# through module-level names, so a rebound name (a tracer's wrapper,
+# say) is the one that runs.
+STEPS = {
+    "rotate": _Step("rotate", (), lambda D: rotate(D)),
+    "hurwitz_left": _Step(
+        "hurwitzL", ("pos",), lambda D, i: hurwitz_left(D, i)),
+    "hurwitz_right": _Step(
+        "hurwitzR", ("pos",), lambda D, i: hurwitz_right(D, i)),
+    "certify_loose": _Step(
+        "certify-loose", ("pos",), lambda D, i: rule_loose_pair(D, i)),
+    "stabilize": _Step(
+        "stabilize", ("ints", "label"),
+        lambda D, pairings, label: stabilize(D, pairings, label)),
+    "subflex": _Step(
+        "subflex", ("disks",), lambda D, disks: subflexibilize(D, disks)),
+    "bsum": _Step("bsum", ("datum",), lambda D, other: _bsum(D, other)),
+    "insert_sphere": _Step(
+        "insert-sphere", ("after", "label"),
+        lambda D, after, label: insert_sphere(D, after, label)),
+}
+
+
+def _ints_text(values):
+    return "[%s]" % ", ".join(str(v) for v in values)
+
+
+# every other kind prints by str
+_ARG_TEXT = {
+    "ints": _ints_text,
+    "disks": lambda disks: "[%s]" % ", ".join(
+        "none" if d is None else _ints_text(d) for d in disks),
+}
+
+
+def step_text(tag, args):
+    """A step's text: its word, then each given argument.
+
+    A script step gives no stabilize label, so it prints as written.
+    """
+    row = STEPS[tag]
+    return " ".join([row.word] + [
+        _ARG_TEXT.get(kind, str)(arg) for kind, arg in zip(row.kinds, args)])
+
+
 def apply_step(D, step):
     """Apply one (tag, args) certificate step through the move engine."""
     tag, args = step
-    if tag == "rotate":
-        return rotate(D)
-    if tag == "hurwitz_left":
-        return hurwitz_left(D, args[0])
-    if tag == "hurwitz_right":
-        return hurwitz_right(D, args[0])
-    if tag == "stabilize":
-        return stabilize(D, args[0], args[1])
-    if tag == "subflex":
-        return subflexibilize(D, args[0])
-    if tag == "bsum":
-        if not isinstance(args[0], LefschetzDatum):
-            raise CertifyError("bsum argument must be a datum")
-        return boundary_connect_sum(D, args[0])
-    if tag == "insert_sphere":
-        return insert_sphere(D, args[0], args[1])
-    if tag == "certify_loose":
-        return rule_loose_pair(D, args[0])
-    raise CertifyError("unknown move tag", tag=tag)
+    if tag not in STEPS:
+        raise CertifyError("unknown move tag", tag=tag)
+    return STEPS[tag].run(D, *args)
+
+
+def step_certifications(step, k):
+    """Summary entries of a step on a datum of k cycles.
+
+    Certifying the pair at position i marks cycle i % k + 1 loose.
+    """
+    if step[0] == "certify_loose":
+        return ((step[1][0] % k + 1, "loose_pair"),)
+    return ()
+
+
+def terminal_claim(D):
+    """The claim a datum justifies: subcritical iff all cycles are
+    stabilization spheres, else flexible."""
+    if all(c.stabilization_sphere for c in D.cycles):
+        return "subcritical"
+    return "flexible"
 
 
 def _describe(step, k):
@@ -180,13 +229,12 @@ def verify_certificate(D, cert):
         line = "%d: %s" % (idx, _describe(step, k))
         try:
             moved = apply_step(current, step)
-        except _STEP_ERRORS as err:
+        except LefweaveError as err:
             trace.append(line + " -> error: %s" % err)
             return VerifyResult(
                 False, tuple(trace), "step %d: %s" % (idx, err), None)
         trace.append(line)
-        if step[0] == "certify_loose":
-            collected.append((step[1][0] % k + 1, "loose_pair"))
+        collected.extend(step_certifications(step, k))
         current = moved
 
     def reject(reason):
@@ -223,9 +271,7 @@ def flexify_after_handles(D_sf):
     and certify the loose pair.  Returns the final datum and an
     accepting certificate.
     """
-    chosen = {}
-    for pos, label in D_sf.sf_spheres:
-        chosen[pos] = label
+    chosen = dict(D_sf.sf_spheres)
     for pos, cyc in enumerate(D_sf.cycles, start=1):
         if pos in chosen or cyc.stabilization_sphere:
             continue
@@ -236,36 +282,24 @@ def flexify_after_handles(D_sf):
             "cycle %d was neither subflexibilized nor a stabilization "
             "sphere" % pos, i=pos)
     pairs = sorted(chosen.items())
-    inserts, hurwitz, certs, summary = [], [], [], []
+    inserts, hurwitz, certs = [], [], []
     for j, (pos, label) in enumerate(pairs):
         q = pos + j
         inserts.append(("insert_sphere", (q, label)))
         hurwitz.append(("hurwitz_right", (q,)))
         certs.append(("certify_loose", (q,)))
-        summary.append((q + 1, "loose_pair"))
-    if pairs:
-        claim = "flexible"
-    else:
-        claim = ("subcritical"
-                 if all(c.stabilization_sphere for c in D_sf.cycles)
-                 else "flexible")
-    cert = Certificate(
-        tuple(inserts + hurwitz + certs), tuple(summary), claim)
-    current = D_sf
-    for step in cert.moves:
+    moves = tuple(inserts + hurwitz + certs)
+    current, summary = D_sf, []
+    for step in moves:
+        summary.extend(step_certifications(step, len(current.cycles)))
         current = apply_step(current, step)
-    return current, cert
+    return current, Certificate(moves, tuple(summary),
+                                terminal_claim(current))
 
 
 def _all_flagged(D):
     return all(c.loose_certified or c.stabilization_sphere
                for c in D.cycles)
-
-
-def _claim_for(D):
-    if all(c.stabilization_sphere for c in D.cycles):
-        return "subcritical"
-    return "flexible"
 
 
 def _child_steps(D):
@@ -278,22 +312,14 @@ def _child_steps(D):
     k = len(D.cycles)
     steps = []
     if k >= 2:
-        steps.append((("rotate", ()), ()))
-        for i in range(1, k + 1):
-            steps.append((("hurwitz_left", (i,)), ()))
-        for i in range(1, k + 1):
-            steps.append((("hurwitz_right", (i,)), ()))
-        for i in range(1, k + 1):
-            steps.append(
-                (("certify_loose", (i,)), ((i % k + 1, "loose_pair"),)))
+        steps.append(("rotate", ()))
+        for tag in ("hurwitz_left", "hurwitz_right", "certify_loose"):
+            steps.extend((tag, (i,)) for i in range(1, k + 1))
     rank = D.fiber.lattice.rank
-    labels = set(D.fiber.basis_labels)
-    fresh = "s%d" % (rank + 1)
-    while fresh in labels:
-        fresh += "'"
+    label = stabilize_label(D.fiber)
     for j in range(rank):
         unit = tuple(1 if t == j else 0 for t in range(rank))
-        steps.append((("stabilize", (unit, fresh)), ()))
+        steps.append(("stabilize", (unit, label)))
     return steps
 
 
@@ -314,22 +340,24 @@ def search_certificate(D, depth, width):
     for level in range(depth + 1):
         for datum, moves, summary in frontier:
             if _all_flagged(datum):
-                return Certificate(moves, summary, _claim_for(datum))
+                return Certificate(moves, summary, terminal_claim(datum))
         if level == depth:
             break
         grown = []
         for datum, moves, summary in frontier:
             if len(grown) >= width:
                 break
-            for step, entry in _child_steps(datum):
+            k = len(datum.cycles)
+            for step in _child_steps(datum):
                 try:
                     child = apply_step(datum, step)
-                except _STEP_ERRORS:
+                except LefweaveError:
                     continue
                 if child in seen:
                     continue
                 seen.add(child)
-                grown.append((child, moves + (step,), summary + entry))
+                grown.append((child, moves + (step,),
+                              summary + step_certifications(step, k)))
                 if len(grown) >= width:
                     break
         if not grown:
@@ -494,10 +522,13 @@ def _sh_apply(state, step):
             disk = tuple(int(x) for x in disk)
             if len(disk) != base_rank:
                 raise CertifyError("shadow: disk length mismatch", i=pos)
-            _sh_attach(state, disk + (0,) * attached, "s%d" % pos)
+            label = "s%d" % pos
+            while label in state["labels"]:
+                label += "'"
+            _sh_attach(state, disk + (0,) * attached, label)
             attached += 1
             cycles = state["cycles"]
-            sphere = _sh_unit(state, "s%d" % pos)
+            sphere = _sh_unit(state, label)
             target = cycles[pos - 1]
             hits = _dot(gram, sphere,
                         _eval(gram, n, target.letters, target.base))

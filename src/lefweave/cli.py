@@ -16,42 +16,28 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .arcs import ArcError, induced_word
+from . import LefweaveError, __version__
+from .arcs import induced_word
 from .certify import (
     Certificate,
-    CertifyError,
     apply_step,
     flexify_after_handles,
     search_certificate,
+    step_certifications,
+    step_text,
+    terminal_claim,
     verify_certificate,
 )
-from .dsl import DslError, parse
-from .fibers import FiberError, PlumbingTree, ak_matching_fiber, \
-    plumbing_lattice
-from .invariants import InvariantError, total_space_invariants
-from .lattice import LatticeError
-from .presentation import LefschetzDatum, MoveError, VanishingCycle, \
+from .dsl import SCRIPT_WORDS, parse
+from .fibers import PlumbingTree, ak_matching_fiber, plumbing_lattice
+from .invariants import total_space_invariants
+from .presentation import LefschetzDatum, VanishingCycle, stabilize_label, \
     trivial_cycle
-from .presets import PresetError, preset
+from .presets import preset
 
 
-class CliError(ValueError):
+class CliError(LefweaveError):
     """An execution error, annotated with its command context."""
-
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = dict(context)
-
-
-_ENGINE_ERRORS = (ArcError, CertifyError, FiberError, InvariantError,
-                  LatticeError, MoveError, PresetError)
-
-_STEP_TAGS = {
-    "hurwitzL": "hurwitz_left",
-    "hurwitzR": "hurwitz_right",
-    "certify-loose": "certify_loose",
-}
 
 
 def _build_fiber(payload):
@@ -62,13 +48,19 @@ def _build_fiber(payload):
 
 
 def _build_cycle(fiber, ast):
+    # twist letters nest to the right; a loop keeps long words off the
+    # call stack, and the innermost cycle recurses once
+    letters = []
+    while ast[0] == "tw":
+        letters.append((fiber.basis_sphere(ast[1]), ast[2]))
+        ast = ast[3]
+    if letters:
+        word = _build_cycle(fiber, ast).word
+        for sphere, exp in reversed(letters):
+            word = word.prepend(sphere, exp)
+        return VanishingCycle(fiber.lattice, word)
     if ast[0] == "basis":
         return trivial_cycle(fiber, fiber.basis_sphere(ast[1]))
-    if ast[0] == "tw":
-        sphere = fiber.basis_sphere(ast[1])
-        inner = _build_cycle(fiber, ast[3])
-        return VanishingCycle(fiber.lattice,
-                              inner.word.prepend(sphere, ast[2]))
     _, i, j, label = ast
     system = fiber.arc_system
     if system is None:
@@ -85,47 +77,24 @@ def _build_cycle(fiber, ast):
     return VanishingCycle(fiber.lattice, induced_word(system, arc), arc=arc)
 
 
-def _fresh_label(fiber):
-    label = "s%d" % (fiber.lattice.rank + 1)
-    while label in fiber.basis_labels:
-        label += "'"
-    return label
-
-
 def _step_to_move(ast, current, values):
-    word = ast[0]
-    if word in _STEP_TAGS:
-        return (_STEP_TAGS[word], (ast[1],))
-    if word == "rotate":
-        return ("rotate", ())
-    if word == "stabilize":
-        return ("stabilize", (ast[1], _fresh_label(current.fiber)))
-    if word == "subflex":
-        return ("subflex", (ast[1],))
-    return ("bsum", (values[ast[1]],))
+    tag, args = SCRIPT_WORDS[ast[0]], ast[1:]
+    if tag == "stabilize":
+        args += (stabilize_label(current.fiber),)
+    elif tag == "bsum":
+        args = (values[args[0]],)
+    return (tag, args)
 
 
 def format_move(step, label=None):
-    """The one-line text form of a certificate step."""
+    """The one-line text form of a certificate step.
+
+    A bsum step prints ``label``, the summand's name, for its datum.
+    """
     tag, args = step
-    if tag == "rotate":
-        return "rotate"
-    if tag == "hurwitz_left":
-        return "hurwitzL %d" % args[0]
-    if tag == "hurwitz_right":
-        return "hurwitzR %d" % args[0]
-    if tag == "certify_loose":
-        return "certify-loose %d" % args[0]
-    if tag == "insert_sphere":
-        return "insert-sphere %d %s" % (args[0], args[1])
-    if tag == "stabilize":
-        return "stabilize [%s] %s" % (
-            ", ".join(str(x) for x in args[0]), args[1])
-    if tag == "subflex":
-        parts = ["none" if p is None else
-                 "[%s]" % ", ".join(str(x) for x in p) for p in args[0]]
-        return "subflex [%s]" % ", ".join(parts)
-    return "bsum %s" % (label if label is not None else "<datum>")
+    if tag == "bsum":
+        args = ("<datum>" if label is None else label,)
+    return step_text(tag, args)
 
 
 def _run_script(base, steps, values):
@@ -139,17 +108,12 @@ def _run_script(base, steps, values):
             summary.extend(sub.certifications)
             continue
         move = _step_to_move(ast, current, values)
-        k = len(current.cycles)
+        summary.extend(step_certifications(move, len(current.cycles)))
         current = apply_step(current, move)
         moves.append(move)
         texts.append(format_move(
             move, label=ast[1] if ast[0] == "bsum" else None))
-        if move[0] == "certify_loose":
-            summary.append((move[1][0] % k + 1, "loose_pair"))
-    claim = ("subcritical"
-             if all(c.stabilization_sphere for c in current.cycles)
-             else "flexible")
-    cert = Certificate(tuple(moves), tuple(summary), claim)
+    cert = Certificate(tuple(moves), tuple(summary), terminal_claim(current))
     return current, cert, tuple(texts)
 
 
@@ -224,9 +188,7 @@ class _Session:
     def _guarded(self, line, doing, func, arg):
         try:
             func(arg)
-        except _ENGINE_ERRORS as err:
-            raise CliError("line %d: while %s: %s" % (line, doing, err))
-        except CliError as err:
+        except LefweaveError as err:
             raise CliError("line %d: while %s: %s" % (line, doing, err))
 
     def _define(self, definition):
@@ -339,28 +301,29 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            text = handle.read()
+        return _main(args)
     except OSError as err:
         print("lefweave: %s" % err, file=sys.stderr)
-        return 2
-    try:
-        workspace = parse(text)
-    except DslError as err:
+    except UnicodeDecodeError as err:
         print("lefweave: %s: %s" % (args.file, err), file=sys.stderr)
-        return 2
+    except LefweaveError as err:
+        print("lefweave: %s: %s" % (args.file, err), file=sys.stderr)
+    return 2
+
+
+def _main(args):
+    with open(args.file, encoding="utf-8") as handle:
+        text = handle.read()
+    workspace = parse(text)
     if args.subcommand == "check":
         return 0
-    try:
-        results, status = execute(workspace, args.depth, args.width)
-    except CliError as err:
-        print("lefweave: %s: %s" % (args.file, err), file=sys.stderr)
-        return 2
+    results, status = execute(workspace, args.depth, args.width)
     blob = render(results, args.file, args.seed)
-    sys.stdout.write(blob)
     if args.json_out:
+        # written first, so a failed write leaves stdout empty
         with open(args.json_out, "w", encoding="utf-8") as handle:
             handle.write(blob)
+    sys.stdout.write(blob)
     return status
 
 

@@ -25,17 +25,19 @@ import difflib
 import re
 from collections import namedtuple
 
+from . import LefweaveError
+from .certify import STEPS, step_text
 from .presets import PRESETS
 
 
-class DslError(ValueError):
+class DslError(LefweaveError):
     """A syntax or name error, carrying its source position."""
 
     def __init__(self, message, line, column, **context):
-        super().__init__("line %d, column %d: %s" % (line, column, message))
+        super().__init__("line %d, column %d: %s" % (line, column, message),
+                         **context)
         self.line = line
         self.column = column
-        self.context = dict(context)
 
 
 _Token = namedtuple("_Token", ("kind", "value", "line", "column"))
@@ -49,8 +51,11 @@ _TOKEN = re.compile(
 )
 
 _STATEMENTS = ("fiber", "datum", "script", "print", "verify", "search")
-_STEPS = ("hurwitzL", "hurwitzR", "rotate", "stabilize", "subflex",
-          "bsum", "certify-loose", "flexify")
+# Script words and their move tags, read from the step table: every step
+# but insert-sphere, which only flexify writes, plus flexify (tag None).
+SCRIPT_WORDS = {row.word: tag for tag, row in STEPS.items()
+                if tag != "insert_sphere"}
+SCRIPT_WORDS["flexify"] = None
 
 
 def _tokenize(text):
@@ -167,11 +172,23 @@ class _Parser:
 
     # --- name bookkeeping ----------------------------------------------
 
-    def _define(self, tok):
+    def _define(self, what):
+        tok = self._expect("name", what)
         if tok.value in self.kinds:
             raise DslError("name %r is already defined" % tok.value,
                            tok.line, tok.column)
         return tok.value
+
+    def _add_definition(self, head, kind, name, payload):
+        self._end_statement()
+        self.kinds[name] = kind
+        self.definitions.append((kind, name, payload))
+        self.def_lines.append(head.line)
+
+    def _add_command(self, head, command):
+        self._end_statement()
+        self.commands.append(command)
+        self.cmd_lines.append(head.line)
 
     def _reference(self, tok, kinds, what):
         name = tok.value
@@ -201,8 +218,7 @@ class _Parser:
 
     def _parse_fiber(self):
         head = self._next()
-        name_tok = self._expect("name", "a fiber name")
-        name = self._define(name_tok)
+        name = self._define("a fiber name")
         self._expect("=", "'='")
         kind_tok = self._expect("name", "'ak' or 'plumbing'")
         if kind_tok.value == "ak":
@@ -222,10 +238,7 @@ class _Parser:
                 "expected 'ak' or 'plumbing'%s"
                 % _suggest(kind_tok.value, ("ak", "plumbing")),
                 kind_tok.line, kind_tok.column)
-        self._end_statement()
-        self.kinds[name] = "fiber"
-        self.definitions.append(("fiber", name, payload))
-        self.def_lines.append(head.line)
+        self._add_definition(head, "fiber", name, payload)
 
     def _parse_dimension(self):
         self._expect_word("n")
@@ -234,22 +247,13 @@ class _Parser:
 
     def _parse_datum(self):
         head = self._next()
-        name_tok = self._expect("name", "a datum name")
-        name = self._define(name_tok)
+        name = self._define("a datum name")
         tok = self._next()
         if tok.kind == "name" and tok.value == "over":
             fiber_tok = self._expect("name", "a fiber name")
             fiber = self._reference(fiber_tok, ("fiber",), "fiber")
             self._expect("=", "'='")
-            self._expect("[", "'['")
-            cycles = []
-            if self._peek().kind != "]":
-                cycles.append(self._parse_cycle())
-                while self._peek().kind == ",":
-                    self._next()
-                    cycles.append(self._parse_cycle())
-            self._expect("]", "']' or ','")
-            payload = ("cycles", fiber, tuple(cycles))
+            payload = ("cycles", fiber, self._list(self._parse_cycle))
         elif tok.kind == "=":
             self._expect_word("preset")
             preset_tok = self._expect("name", "a preset name")
@@ -262,17 +266,19 @@ class _Parser:
         else:
             raise DslError("expected 'over' or '='", tok.line, tok.column,
                            got=tok.value)
-        self._end_statement()
-        self.kinds[name] = "datum"
-        self.definitions.append(("datum", name, payload))
-        self.def_lines.append(head.line)
+        self._add_definition(head, "datum", name, payload)
 
     def _parse_cycle(self):
-        tok = self._next()
-        if tok.kind != "name":
-            raise DslError("expected a cycle expression", tok.line,
-                           tok.column, got=tok.value)
-        if tok.value == "tw":
+        # twist letters nest to the right; a loop keeps long words off
+        # the call stack
+        letters = []
+        while True:
+            tok = self._next()
+            if tok.kind != "name":
+                raise DslError("expected a cycle expression", tok.line,
+                               tok.column, got=tok.value)
+            if tok.value != "tw":
+                break
             self._expect("(", "'('")
             sphere = self._expect("name", "a basis sphere").value
             self._expect(")", "')'")
@@ -281,7 +287,7 @@ class _Parser:
             if exp_tok.value == 0:
                 raise DslError("zero twist exponent is not allowed",
                                exp_tok.line, exp_tok.column)
-            return ("tw", sphere, exp_tok.value, self._parse_cycle())
+            letters.append((sphere, exp_tok.value))
         if tok.value == "arc":
             self._expect("(", "'('")
             i = self._expect("int", "an endpoint").value
@@ -290,16 +296,18 @@ class _Parser:
             self._expect(";", "';'")
             label = self._expect("name", "a catalogue arc name").value
             self._expect(")", "')'")
-            return ("arc", i, j, label)
-        return ("basis", tok.value)
+            ast = ("arc", i, j, label)
+        else:
+            ast = ("basis", tok.value)
+        for sphere, exp in reversed(letters):
+            ast = ("tw", sphere, exp, ast)
+        return ast
 
     def _parse_script(self):
         head = self._next()
-        name_tok = self._expect("name", "a script name")
-        name = self._define(name_tok)
+        name = self._define("a script name")
         self._expect_word("on")
-        target_tok = self._expect("name", "a datum name")
-        target = self._reference(target_tok, ("datum", "script"), "datum")
+        target = self._arg_datum()
         self._expect("{", "'{'")
         steps = []
         while True:
@@ -314,53 +322,50 @@ class _Parser:
             steps.append(self._parse_step())
             if self._peek().kind == ";":
                 self._next()
-        self._end_statement()
-        self.kinds[name] = "script"
-        self.definitions.append(("script", name, (target, tuple(steps))))
-        self.def_lines.append(head.line)
+        self._add_definition(head, "script", name, (target, tuple(steps)))
 
     def _parse_step(self):
         tok = self._next()
-        if tok.kind != "name" or tok.value not in _STEPS:
+        if tok.kind != "name" or tok.value not in SCRIPT_WORDS:
             raise DslError(
                 "unknown script step %r%s"
-                % (tok.value, _suggest(str(tok.value), _STEPS)),
+                % (tok.value, _suggest(str(tok.value), SCRIPT_WORDS)),
                 tok.line, tok.column)
-        word = tok.value
-        if word in ("hurwitzL", "hurwitzR", "certify-loose"):
-            pos_tok = self._expect("int", "a cycle position")
-            if pos_tok.value < 1:
-                raise DslError("positions are 1-based", pos_tok.line,
-                               pos_tok.column, got=pos_tok.value)
-            return (word, pos_tok.value)
-        if word in ("rotate", "flexify"):
-            return (word,)
-        if word == "stabilize":
-            return ("stabilize", self._parse_int_list())
-        if word == "subflex":
-            self._expect("[", "'['")
-            entries = []
-            if self._peek().kind != "]":
-                entries.append(self._parse_subflex_entry())
-                while self._peek().kind == ",":
-                    self._next()
-                    entries.append(self._parse_subflex_entry())
-            self._expect("]", "']' or ','")
-            return ("subflex", tuple(entries))
-        bsum_tok = self._expect("name", "a datum name")
-        return ("bsum", self._reference(bsum_tok, ("datum", "script"),
-                                        "datum"))
+        tag = SCRIPT_WORDS[tok.value]
+        kinds = () if tag is None else STEPS[tag].kinds
+        # a stabilize label is picked when the script runs
+        return (tok.value,) + tuple(
+            getattr(self, "_arg_" + kind)() for kind in kinds
+            if kind != "label")
 
-    def _parse_int_list(self):
+    def _arg_pos(self):
+        pos_tok = self._expect("int", "a cycle position")
+        if pos_tok.value < 1:
+            raise DslError("positions are 1-based", pos_tok.line,
+                           pos_tok.column, got=pos_tok.value)
+        return pos_tok.value
+
+    def _arg_disks(self):
+        return self._list(self._parse_subflex_entry)
+
+    def _arg_datum(self):
+        name_tok = self._expect("name", "a datum name")
+        return self._reference(name_tok, ("datum", "script"), "datum")
+
+    def _arg_ints(self):
+        return self._list(lambda: self._expect("int", "an integer").value)
+
+    def _list(self, item):
+        """``[item, ...]``, possibly empty, as a tuple."""
         self._expect("[", "'['")
-        values = []
+        items = []
         if self._peek().kind != "]":
-            values.append(self._expect("int", "an integer").value)
+            items.append(item())
             while self._peek().kind == ",":
                 self._next()
-                values.append(self._expect("int", "an integer").value)
+                items.append(item())
         self._expect("]", "']' or ','")
-        return tuple(values)
+        return tuple(items)
 
     def _parse_subflex_entry(self):
         tok = self._peek()
@@ -368,45 +373,34 @@ class _Parser:
             self._next()
             return None
         if tok.kind == "[":
-            return self._parse_int_list()
+            return self._arg_ints()
         raise DslError("expected a pairing vector or 'none'",
                        tok.line, tok.column, got=tok.value)
 
     def _parse_print(self):
         head = self._next()
         self._expect_word("invariants")
-        name_tok = self._expect("name", "a datum name")
-        name = self._reference(name_tok, ("datum", "script"), "datum")
-        self._end_statement()
-        self.commands.append(("print_invariants", name))
-        self.cmd_lines.append(head.line)
+        name = self._arg_datum()
+        self._add_command(head, ("print_invariants", name))
 
     def _parse_verify(self):
         head = self._next()
         name_tok = self._expect("name", "a script name")
         name = self._reference(name_tok, ("script",), "script")
-        self._end_statement()
-        self.commands.append(("verify", name))
-        self.cmd_lines.append(head.line)
+        self._add_command(head, ("verify", name))
 
     def _parse_search(self):
         head = self._next()
-        name_tok = self._expect("name", "a datum name")
-        name = self._reference(name_tok, ("datum", "script"), "datum")
-        depth = width = None
-        for key in ("depth", "width"):
+        name = self._arg_datum()
+        bounds = {"depth": None, "width": None}
+        for key in bounds:
             tok = self._peek()
             if tok.kind == "name" and tok.value == key:
                 self._next()
                 self._expect("=", "'='")
-                value = self._expect("int", "an integer").value
-                if key == "depth":
-                    depth = value
-                else:
-                    width = value
-        self._end_statement()
-        self.commands.append(("search", name, depth, width))
-        self.cmd_lines.append(head.line)
+                bounds[key] = self._expect("int", "an integer").value
+        self._add_command(head, ("search", name, bounds["depth"],
+                                 bounds["width"]))
 
 
 def parse(text):
@@ -418,29 +412,15 @@ def parse(text):
 
 
 def _cycle_text(ast):
+    parts = []
+    while ast[0] == "tw":
+        parts.append("tw(%s)^%d" % (ast[1], ast[2]))
+        ast = ast[3]
     if ast[0] == "basis":
-        return ast[1]
-    if ast[0] == "tw":
-        return "tw(%s)^%d %s" % (ast[1], ast[2], _cycle_text(ast[3]))
-    return "arc(%d,%d; %s)" % (ast[1], ast[2], ast[3])
-
-
-def _int_list_text(values):
-    return "[%s]" % ", ".join(str(v) for v in values)
-
-
-def _step_text(ast):
-    word = ast[0]
-    if word in ("hurwitzL", "hurwitzR", "certify-loose"):
-        return "%s %d" % (word, ast[1])
-    if word in ("rotate", "flexify"):
-        return word
-    if word == "stabilize":
-        return "stabilize %s" % _int_list_text(ast[1])
-    if word == "subflex":
-        parts = ["none" if p is None else _int_list_text(p) for p in ast[1]]
-        return "subflex [%s]" % ", ".join(parts)
-    return "bsum %s" % ast[1]
+        parts.append(ast[1])
+    else:
+        parts.append("arc(%d,%d; %s)" % (ast[1], ast[2], ast[3]))
+    return " ".join(parts)
 
 
 def _command_text(cmd):
@@ -474,8 +454,10 @@ def pretty_print(workspace):
         else:
             target, steps = payload
             lines.append("script %s on %s {" % (name, target))
-            for step in steps:
-                lines.append("  %s;" % _step_text(step))
+            for word, *args in steps:
+                tag = SCRIPT_WORDS[word]
+                lines.append("  %s;" % (
+                    word if tag is None else step_text(tag, args)))
             lines.append("}")
     for cmd in workspace.commands:
         lines.append(_command_text(cmd))

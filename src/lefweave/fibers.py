@@ -13,16 +13,13 @@ label is remembered so later constructions can tell original zero-section
 spheres from added ones.
 """
 
+from . import LefweaveError
 from .arcs import ArcSystem
-from .lattice import IntLattice
+from .lattice import IntLattice, plumbing_gram, sphere_self_pairing
 
 
-class FiberError(ValueError):
+class FiberError(LefweaveError):
     """Raised for malformed trees, pairings, or labels."""
-
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = dict(context)
 
 
 class PlumbingTree:
@@ -135,31 +132,14 @@ class FiberModel:
             self.lattice.rank, list(self.basis_labels))
 
 
-def _self_pairing(n):
-    if n % 2 == 1:
-        return 0
-    return 2 if (n * (n + 1) // 2) % 2 == 0 else -2
-
-
 def plumbing_lattice(tree, n):
     """Intersection lattice of the plumbing of D*S^n along the tree."""
     if n < 1:
         raise FiberError("fiber dimension must be positive", n=n)
-    k = len(tree.vertices)
     index = {v: i for i, v in enumerate(tree.vertices)}
-    diag = _self_pairing(n)
-    gram = [[diag if i == j else 0 for j in range(k)] for i in range(k)]
-    for u, v, sign in tree.edges:
-        i, j = index[u], index[v]
-        if n % 2 == 0:
-            gram[i][j] = gram[j][i] = sign
-        else:
-            # orient by ascending vertex index
-            lo, hi = min(i, j), max(i, j)
-            gram[lo][hi] = sign
-            gram[hi][lo] = -sign
-    lattice = IntLattice(tuple(tuple(row) for row in gram), n)
-    return FiberModel(lattice, tree.vertices)
+    edges = [(index[u], index[v], sign) for u, v, sign in tree.edges]
+    gram = plumbing_gram(len(tree.vertices), edges, n)
+    return FiberModel(IntLattice(gram, n), tree.vertices)
 
 
 def attach_stabilizing_handle(fiber, pairings, label):
@@ -180,7 +160,7 @@ def attach_stabilizing_handle(fiber, pairings, label):
     flip = 1 if n % 2 == 0 else -1
     gram = tuple(
         old[i] + (flip * pairings[i],) for i in range(rank)
-    ) + (pairings + (_self_pairing(n),),)
+    ) + (pairings + (sphere_self_pairing(n),),)
     # a valid gram bordered this way keeps its symmetry: no re-check
     lattice = IntLattice._of(gram, n)
     stab = dict(fiber.stabilizing_spheres)

@@ -19,7 +19,8 @@ even-dimensional sphere, forcing diagonal +-1 for odd n and 0 for even.
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import SphereClass, pairing, smith_normal_form
+from . import LefweaveError
+from .lattice import pairing, smith_normal_form
 
 TotalSpaceInvariants = namedtuple(
     "TotalSpaceInvariants",
@@ -28,12 +29,8 @@ TotalSpaceInvariants = namedtuple(
 )
 
 
-class InvariantError(ValueError):
+class InvariantError(LefweaveError):
     """Raised on unsupported inputs or internal consistency failures."""
-
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = dict(context)
 
 
 def _boundary_matrix(D):

@@ -17,13 +17,36 @@ Conventions, fixed once here and relied on everywhere else:
 All arithmetic is plain Python integers; values are immutable tuples.
 """
 
+from . import LefweaveError
 
-class LatticeError(ValueError):
+
+class LatticeError(LefweaveError):
     """Structured error for invalid lattice inputs."""
 
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = context
+
+def sphere_self_pairing(n):
+    """Self-pairing of a sphere, hence of every twist center (0 for odd n)."""
+    if n % 2 == 1:
+        return 0
+    return 2 if (n * (n + 1) // 2) % 2 == 0 else -2
+
+
+def plumbing_gram(rank, edges, n):
+    """Gram rows of ``rank`` spheres plumbed along (i, j, sign) edges.
+
+    Indices are 0-based.  Each edge is one transverse point: symmetric
+    for n even, oriented by ascending index for n odd.
+    """
+    diag = sphere_self_pairing(n)
+    gram = [[diag if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j, sign in edges:
+        if n % 2 == 0:
+            gram[i][j] = gram[j][i] = sign
+        else:
+            lo, hi = min(i, j), max(i, j)
+            gram[lo][hi] = sign
+            gram[hi][lo] = -sign
+    return tuple(tuple(row) for row in gram)
 
 
 def _as_int_rows(rows):
@@ -78,16 +101,6 @@ class IntLattice:
     def __setattr__(self, name, value):
         raise AttributeError("IntLattice is immutable")
 
-    @property
-    def symmetric(self):
-        return self.n % 2 == 0
-
-    def twist_center_self_pairing(self):
-        """Required self-pairing of a twist center (0 for odd n)."""
-        if self.n % 2 == 0:
-            return (-1) ** (self.n * (self.n + 1) // 2) * 2
-        return 0
-
     def basis_sphere(self, i, label=None):
         """The i-th basis class, 1-based to match the e1, e2, ... notation."""
         if not 1 <= i <= self.rank:
@@ -140,9 +153,6 @@ class SphereClass:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(self.coords))
         return self._hash
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
 
     def __repr__(self):
         if self.label:
@@ -258,7 +268,7 @@ def twist_power(L, S, x, exponent):
     """
     if L.n % 2 == 0:
         self_pairing = pairing(L, S, S)
-        required = L.twist_center_self_pairing()
+        required = sphere_self_pairing(L.n)
         if self_pairing != required:
             raise LatticeError(
                 "invalid twist center: self-pairing must be %d for n=%d"

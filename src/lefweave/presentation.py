@@ -10,18 +10,15 @@ positions are 1-based and cyclic: position i acts on the adjacent pair
 (i, i+1), with i = k wrapping around to pair (k, 1).
 """
 
+from . import LefweaveError
 from .arcs import apply_half_twist
 from .fibers import FiberModel, attach_stabilizing_handle
 from .lattice import IntLattice, SphereClass, TwistWord, evaluate_word, \
     pairing, twist_power
 
 
-class MoveError(ValueError):
+class MoveError(LefweaveError):
     """Raised for invalid positions, parities, or broken preconditions."""
-
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = dict(context)
 
 
 class VanishingCycle:
@@ -242,6 +239,18 @@ def rotate(D):
     return LefschetzDatum(D.fiber, D.cycles[1:] + D.cycles[:1])
 
 
+def _fresh_label(stem, used):
+    """``stem`` with primes appended until ``used`` does not hold it."""
+    while stem in used:
+        stem += "'"
+    return stem
+
+
+def stabilize_label(fiber):
+    """The label a scripted or searched stabilize gives its handle."""
+    return _fresh_label("s%d" % (fiber.lattice.rank + 1), fiber.basis_labels)
+
+
 def stabilize(D, pairings, label):
     """Attach a fiber handle and append its sphere as a new cycle."""
     fiber, sphere = attach_stabilizing_handle(D.fiber, pairings, label)
@@ -257,7 +266,8 @@ def subflexibilize(D, disk_pairings, labels=None):
     ``disk_pairings`` gives, per cycle, the intersection vector of the
     attaching disk with the original basis (or None to skip that cycle).
     Each disk must meet its own cycle exactly once; the new spheres join
-    the fiber but not the cycle list.
+    the fiber but not the cycle list.  Without ``labels``, the handle at
+    position i is labelled s<i>, primed until free.
     """
     k = len(D.cycles)
     disk_pairings = list(disk_pairings)
@@ -277,7 +287,8 @@ def subflexibilize(D, disk_pairings, labels=None):
             raise MoveError(
                 "pairing vector length must equal the original rank",
                 i=pos, expected=base_rank, got=len(p))
-        label = labels[pos - 1] if labels is not None else "s%d" % pos
+        label = (labels[pos - 1] if labels is not None
+                 else _fresh_label("s%d" % pos, fiber.basis_labels))
         fiber, sphere = attach_stabilizing_handle(
             fiber, p + (0,) * attached, label)
         attached += 1
@@ -311,11 +322,8 @@ def boundary_connect_sum(D1, D2):
     labels = list(D1.fiber.basis_labels)
     rename = {}
     for lab in D2.fiber.basis_labels:
-        fresh = lab
-        while fresh in labels:
-            fresh += "'"
-        rename[lab] = fresh
-        labels.append(fresh)
+        rename[lab] = _fresh_label(lab, labels)
+        labels.append(rename[lab])
     g1, g2 = D1.fiber.lattice.gram, D2.fiber.lattice.gram
     gram = tuple(
         tuple(g1[i]) + (0,) * r2 for i in range(r1)
@@ -331,19 +339,3 @@ def boundary_connect_sum(D1, D2):
     cycles = [_embed_cycle(c, 0, r2, keep_arc=False) for c in D1.cycles]
     cycles += [_embed_cycle(c, r1, 0, keep_arc=False) for c in D2.cycles]
     return LefschetzDatum(fiber, cycles)
-
-
-def normalize(D):
-    """Freely reduce all words and refresh class caches; idempotent."""
-    lattice = D.fiber.lattice
-    cycles = [
-        VanishingCycle(
-            lattice,
-            TwistWord(c.word.letters, c.word.base),
-            arc=c.arc,
-            stabilization_sphere=c.stabilization_sphere,
-            loose_certified=c.loose_certified,
-        )
-        for c in D.cycles
-    ]
-    return LefschetzDatum(D.fiber, cycles, sf_spheres=D.sf_spheres)

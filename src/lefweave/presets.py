@@ -14,18 +14,15 @@ is marked "preset".
                  Hurwitz move (hurwitzR 2 + certify-loose 2).
 """
 
+from . import LefweaveError
 from .arcs import apply_half_twist, induced_word, standard_arc
 from .certify import insert_sphere
 from .fibers import FiberModel, ak_matching_fiber
 from .presentation import LefschetzDatum, VanishingCycle
 
 
-class PresetError(ValueError):
+class PresetError(LefweaveError):
     """Raised for unknown preset names."""
-
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = dict(context)
 
 
 def _arc_cycle(fiber, arc, stabilization_sphere=False):

@@ -14,7 +14,7 @@ import sys
 from lefweave.certify import Certificate
 from lefweave.cli import (CliError, execute, export_json, format_move, main,
                           render)
-from lefweave.dsl import parse
+from lefweave.dsl import parse, pretty_print
 from lefweave.invariants import total_space_invariants
 from lefweave.presets import x1
 
@@ -145,6 +145,36 @@ def test_runtime_error_exits_2(tmp_path, capsys):
     assert "while defining 's'" in err
     assert "out of range" in err
 
+    # unreadable input and an unwritable --json-out: one line, no traceback
+    not_utf8 = tmp_path / "latin.lef"
+    not_utf8.write_bytes(b"\xff\xfe fiber\n")
+    missing_dir = str(tmp_path / "missing" / "out.json")
+    for argv, fragment in (
+            (["check", str(not_utf8)], "codec can't decode"),
+            (["run", str(not_utf8)], "codec can't decode"),
+            (["run", write(tmp_path, X1_TEXT), "--json-out", missing_dir],
+             "No such file or directory")):
+        status, out, err = run_main(capsys, argv)
+        assert status == 2 and out == "", argv
+        assert err.startswith("lefweave: ") and err.count("\n") == 1, err
+        assert fragment in err, err
+
+
+def test_long_twist_words_stay_off_the_call_stack(tmp_path, capsys):
+    # 1200 nested letters: deeper than the interpreter's recursion limit
+    template = ("fiber a2 = ak 3 n=2\n"
+                "datum D over a2 = [%s, e2]\n"
+                "print invariants D\n")
+    text = template % ("tw(e1)^1 tw(e2)^1 " * 600 + "e1")
+    assert pretty_print(parse(text)) == text
+    path = write(tmp_path, text)
+    assert run_main(capsys, ["check", path]) == (0, "", "")
+    status, out, err = run_main(capsys, ["run", path])
+    assert status == 0 and err == ""
+    # tau_e1 tau_e2 has order 3 on classes at n=2, and 600 = 0 mod 3
+    twin = run_main(capsys, ["run", write(tmp_path, template % "e1")])
+    assert json.loads(out)["results"] == json.loads(twin[1])["results"]
+
 
 def test_json_out_and_seed(tmp_path, capsys):
     path = write(tmp_path, X1_TEXT)
@@ -237,3 +267,22 @@ def test_run_catalogue_arc_matches_basis_twin(tmp_path):
     assert wrong.returncode == 2 and wrong.stdout == b""
     assert b"joins points (1, 2), not (1, 3)" in wrong.stderr
     assert b"Traceback" not in wrong.stderr
+
+
+def test_second_subflex_takes_a_primed_label(tmp_path, capsys):
+    text = (
+        "fiber p = plumbing a3 n=2\n"
+        "datum D over p = [e1, e2]\n"
+        "script sf on D {\n"
+        "  subflex [[1, 0, 0], [0, 1, 0]];\n"
+        "  subflex [[1, 0, 0, 0, 0], none];\n"
+        "  flexify;\n"
+        "}\n"
+        "verify sf\n"
+    )
+    status, out, err = run_main(capsys, ["run", write(tmp_path, text)])
+    assert status == 0 and err == ""
+    (entry,) = json.loads(out)["results"]
+    assert entry["accepted"] is True, entry["reason"]
+    assert entry["moves"][2:4] == ["insert-sphere 1 s1'",
+                                   "insert-sphere 3 s2"]
