@@ -172,7 +172,11 @@ def apply_step(D, step):
     tag, args = step
     if tag not in STEPS:
         raise CertifyError("unknown move tag", tag=tag)
-    return STEPS[tag].run(D, *args)
+    row = STEPS[tag]
+    if len(args) != len(row.kinds):
+        raise CertifyError("wrong number of step arguments", tag=tag,
+                           expected=len(row.kinds), given=len(args))
+    return row.run(D, *args)
 
 
 def step_certifications(step, k):
@@ -226,14 +230,14 @@ def verify_certificate(D, cert):
     collected = []
     for idx, step in enumerate(cert.moves, start=1):
         k = len(current.cycles)
-        line = "%d: %s" % (idx, _describe(step, k))
         try:
             moved = apply_step(current, step)
         except LefweaveError as err:
-            trace.append(line + " -> error: %s" % err)
+            # the step as given: its arguments may not fit its tag
+            trace.append("%d: %s %r -> error: %s" % (idx, *step, err))
             return VerifyResult(
                 False, tuple(trace), "step %d: %s" % (idx, err), None)
-        trace.append(line)
+        trace.append("%d: %s" % (idx, _describe(step, k)))
         collected.extend(step_certifications(step, k))
         current = moved
 

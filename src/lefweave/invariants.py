@@ -9,18 +9,23 @@ the Smith normal form of that single boundary matrix:
     H_0 = Z,   H_n = coker d,   H_{n+1} = ker d,   else 0
     chi = chi(fiber) + (-1)^(n+1) k
 
-The middle intersection form lives on ker d.  On thimble generators it
-is <klass V_i, klass V_j> for i < j, extended (anti)symmetrically, with
-the diagonal fixed by the matching-sphere normalization: a cycle pair
-(V, V) presents D*S^(n+1), whose generator must self-pair to chi of the
-even-dimensional sphere, forcing diagonal +-1 for odd n and 0 for even.
+The middle intersection form lives on ker d.  With K the matrix whose
+columns are a basis of ker d, it is
+
+    Q = K^T . Q2 . K / 2
+
+where Q2 is the doubled k x k thimble matrix: Q2[i][j] = <klass V_i,
+klass V_j> for i < j, Q2[j][i] = (-1)^(n+1) Q2[i][j], and every diagonal
+entry is the self-pairing of an (n+1)-sphere.  That diagonal is the
+matching-sphere normalization: a cycle pair (V, V) presents D*S^(n+1),
+whose generator t_1 - t_2 must self-pair as the sphere S^(n+1) does.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
 from . import LefweaveError
-from .lattice import pairing, smith_normal_form
+from .lattice import pairing, smith_normal_form, sphere_self_pairing
 
 TotalSpaceInvariants = namedtuple(
     "TotalSpaceInvariants",
@@ -101,30 +106,22 @@ def euler_characteristic(D):
     return total_space_homology(D).chi
 
 
-def _diagonal_self_pairing(n):
-    if n % 2 == 0:
-        return 0
-    half = (n + 1) * (n + 2) // 2
-    return 1 if half % 2 == 0 else -1
-
-
 def middle_intersection_form(D):
-    """The intersection matrix on a basis of H_{n+1} = ker d.
+    """The intersection matrix K^T . Q2 . K / 2 on a basis K of ker d.
 
-    On thimbles, Q(t_i, t_j) = <K_i, K_j>/2 for i < j, extended
-    (anti)symmetrically, with diagonal delta = +-1 for odd n and 0 for
-    even n.  The halves are forced together: the matching-sphere datum
-    (V, V) presents D*S^(n+1) whose generator t_1 - t_2 must self-pair
-    to +-chi(S^(n+1)), and Hurwitz moves act on thimbles by elementary
-    unimodular matrices, which preserves this Q and no other scaling.
-    Restricted to ker d the matrix is integral: for odd n the two
-    triangular halves agree on kernel vectors, for even n the fiber
-    lattice is even.
+    Q2 is the doubled thimble matrix: <K_i, K_j> above the diagonal,
+    (-1)^(n+1) times that below it, and sphere_self_pairing(n + 1) on
+    the diagonal.  Hurwitz moves act on thimbles by elementary
+    unimodular matrices, which preserves this Q and no other scaling
+    (not yet at n = 1 mod 4: there the diagonal is -2, but odd-n twists
+    keep the sign they have at n = 3).  Restricted to ker d the matrix
+    is integral: for odd n the two triangular halves agree on kernel
+    vectors, for even n the fiber lattice is even.
     """
     n = D.n
     lattice = D.fiber.lattice
     klasses = [cyc.klass for cyc in D.cycles]
-    delta = _diagonal_self_pairing(n)
+    diag = sphere_self_pairing(n + 1)
     flip = (-1) ** (n + 1)
     k = len(klasses)
     _, kernel = _divisors_and_kernel(D)
@@ -137,9 +134,10 @@ def middle_intersection_form(D):
     for u in kernel:
         row = []
         for v in kernel:
+            # u^T . Q2 . v, one triangle of Q2 at a time
             doubled = 0
             for i in range(k):
-                doubled += 2 * delta * u[i] * v[i]
+                doubled += diag * u[i] * v[i]
                 for j in range(i + 1, k):
                     doubled += (u[i] * v[j] + flip * u[j] * v[i]) \
                         * pair[(i, j)]

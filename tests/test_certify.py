@@ -227,6 +227,16 @@ def test_verify_reports_failing_step():
     assert not verify_certificate(D, bad_tag).accepted
 
 
+def test_verify_rejects_wrong_arity_steps():
+    D = x2_datum()
+    for step in (("hurwitz_left", ()), ("stabilize", ((1, 0, 0, 0),)),
+                 ("hurwitz_left", (1, 2)), ("rotate", (1,))):
+        res = verify_certificate(D, Certificate((step,), (), "flexible"))
+        assert not res.accepted
+        assert res.reason.startswith("step 1:")
+        assert "wrong number of step arguments" in res.reason
+
+
 def test_verify_marks_wraparound_in_trace():
     D = loose_ready_datum()
     flipped = LefschetzDatum(D.fiber, (D.cycles[1], D.cycles[0]))

@@ -26,6 +26,8 @@ Frozen values (hand-checked):
 
 import random
 
+import pytest
+
 from lefweave.fibers import FiberModel, PlumbingTree, plumbing_lattice
 from lefweave.invariants import (
     InvariantError,
@@ -230,29 +232,45 @@ def comparable(inv):
 
 
 def test_moves_preserve_invariants_sample():
+    # n = 1 is left out: see test_hurwitz_preserves_form_at_n1
     rng = random.Random(31)
-    for _ in range(40):
-        D = random_datum(rng, rng.choice((2, 3)))
-        want = comparable(total_space_invariants(D))
-        for _ in range(6):
-            k = len(D.cycles)
-            op = rng.randrange(4)
-            if op == 0:
-                D = hurwitz_left(D, rng.randint(1, k))
-            elif op == 1:
-                D = hurwitz_right(D, rng.randint(1, k))
-            elif op == 2:
-                D = rotate(D)
-            else:
-                D = stabilize(
-                    D,
-                    tuple(rng.randint(-1, 1)
-                          for _ in range(D.fiber.lattice.rank)),
-                    "h%d" % rng.randrange(10 ** 6),
-                )
-            got = comparable(total_space_invariants(D))
-            # stabilization adds one canceling pair in degrees n, n+1
-            assert got == want
+    for dims in ((2, 3), (4,)):
+        for _ in range(40):
+            D = random_datum(rng, rng.choice(dims))
+            want = comparable(total_space_invariants(D))
+            for _ in range(6):
+                k = len(D.cycles)
+                op = rng.randrange(4)
+                if op == 0:
+                    D = hurwitz_left(D, rng.randint(1, k))
+                elif op == 1:
+                    D = hurwitz_right(D, rng.randint(1, k))
+                elif op == 2:
+                    D = rotate(D)
+                else:
+                    D = stabilize(
+                        D,
+                        tuple(rng.randint(-1, 1)
+                              for _ in range(D.fiber.lattice.rank)),
+                        "h%d" % rng.randrange(10 ** 6),
+                    )
+                got = comparable(total_space_invariants(D))
+                # stabilization adds one canceling pair in degrees n, n+1
+                assert got == want
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at n = 1 mod 4 the form's diagonal sphere_self_pairing(n + 1) is -2 "
+    "while odd-n twists keep the sign they have at n = 3"))
+def test_hurwitz_preserves_form_at_n1():
+    fiber = plumbing_lattice(PlumbingTree.path(2, prefix="e"), 1)
+    D = LefschetzDatum(fiber, tuple(
+        trivial_cycle(fiber, SphereClass(c))
+        for c in ((-1, 1), (-1, 0), (0, 1))))
+    before = total_space_invariants(D).form_invariants
+    assert before == (1, 4, -1)
+    assert total_space_invariants(hurwitz_right(D, 3)).form_invariants \
+        == before
 
 
 def test_form_invariants_helper():
