@@ -196,7 +196,14 @@ class MatchingArc:
 
     `word` is a tuple of (arc, power) half-twist letters, leftmost
     outermost, applied to the standard edge with index `base_index`.
-    Equality and hashing go through the canonical form.
+    Two arcs with the same system size, base edge and word have the same
+    half-twist history, so they are equal outright; any other pair is
+    compared, and every arc is hashed, through the canonical form.
+
+    The triple is built on first use.  An arc made by `apply_half_twist`
+    keeps a link to its target and the sigma-letters of the new twist;
+    `triple()` applies those letters to the target's triple, then drops
+    the link.
     """
 
     def __init__(self, system, base_index, word=()):
@@ -206,6 +213,8 @@ class MatchingArc:
         self._gens = None
         self._triple = None
         self._canon = None
+        # (target, sigma-letters) until the triple is built
+        self._link = None
 
     def _mapping_gens(self):
         if self._gens is None:
@@ -215,8 +224,22 @@ class MatchingArc:
 
     def triple(self):
         if self._triple is None:
-            base = (self.base_index, self.base_index + 1, ())
-            self._triple = _apply_gens(base, self._mapping_gens())
+            # walk the links back to an arc that can build its triple on
+            # its own, then apply the pending letters outwards: a long
+            # chain of twists never deepens the call stack
+            chain = []
+            arc = self
+            while arc._triple is None and arc._link is not None:
+                chain.append(arc)
+                arc = arc._link[0]
+            if arc._triple is None:
+                base = (arc.base_index, arc.base_index + 1, ())
+                arc._triple = _apply_gens(base, arc._mapping_gens())
+            triple = arc._triple
+            for arc in reversed(chain):
+                triple = _apply_gens(triple, arc._link[1])
+                arc._triple = triple
+                arc._link = None
         return self._triple
 
     def canonical(self):
@@ -247,10 +270,14 @@ class MatchingArc:
     def __eq__(self, other):
         if not isinstance(other, MatchingArc):
             return NotImplemented
-        return (
-            self.system.m == other.system.m
-            and self.canonical() == other.canonical()
-        )
+        if self.system.m != other.system.m:
+            return False
+        # the same history is the same mapping class applied to the same
+        # edge; inner arcs in the words compare by this same rule
+        if self is other or (self.base_index == other.base_index
+                             and self.word == other.word):
+            return True
+        return self.canonical() == other.canonical()
 
     def __hash__(self):
         return hash((self.system.m, self.canonical()))
@@ -321,11 +348,11 @@ def apply_half_twist(system, arc, target, power=1):
             word = ((arc, merged),) + rest
         return MatchingArc(system, target.base_index, word)
     image = MatchingArc(system, target.base_index, ((arc, power),) + word)
-    if target._triple is not None:
-        # gens(image) = gens(letter) + gens(target), applied right to left
-        letter = _letter_gens(arc, power)
-        image._gens = letter + target._gens
-        image._triple = _apply_gens(target._triple, letter)
+    # gens(image) = gens(letter) + gens(target), applied right to left;
+    # the triple waits until someone asks for it
+    letter = _letter_gens(arc, power)
+    image._gens = letter + target._mapping_gens()
+    image._link = (target, letter)
     return image
 
 

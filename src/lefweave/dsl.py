@@ -107,7 +107,15 @@ class Workspace:
         raise AttributeError("Workspace is immutable")
 
     def _key(self):
-        return (self.definitions, self.commands)
+        # a cycle AST nests one tuple per twist letter; flat letters keep
+        # comparing and hashing long words off the call stack
+        definitions = []
+        for kind, name, payload in self.definitions:
+            if kind == "datum" and payload[0] == "cycles":
+                payload = payload[:2] + (
+                    tuple(_unnest_cycle(c) for c in payload[2]),)
+            definitions.append((kind, name, payload))
+        return (tuple(definitions), self.commands)
 
     def __eq__(self, other):
         if not isinstance(other, Workspace):
@@ -411,15 +419,22 @@ def parse(text):
 # --- pretty printer -----------------------------------------------------
 
 
-def _cycle_text(ast):
-    parts = []
+def _unnest_cycle(ast):
+    """A cycle AST as (twist letters outermost first, innermost cycle)."""
+    letters = []
     while ast[0] == "tw":
-        parts.append("tw(%s)^%d" % (ast[1], ast[2]))
+        letters.append((ast[1], ast[2]))
         ast = ast[3]
-    if ast[0] == "basis":
-        parts.append(ast[1])
+    return tuple(letters), ast
+
+
+def _cycle_text(ast):
+    letters, inner = _unnest_cycle(ast)
+    parts = ["tw(%s)^%d" % letter for letter in letters]
+    if inner[0] == "basis":
+        parts.append(inner[1])
     else:
-        parts.append("arc(%d,%d; %s)" % (ast[1], ast[2], ast[3]))
+        parts.append("arc(%d,%d; %s)" % inner[1:])
     return " ".join(parts)
 
 

@@ -13,6 +13,8 @@ label is remembered so later constructions can tell original zero-section
 spheres from added ones.
 """
 
+import weakref
+
 from . import LefweaveError
 from .arcs import ArcSystem
 from .lattice import IntLattice, plumbing_gram, sphere_self_pairing
@@ -90,10 +92,11 @@ class FiberModel:
     stabilizing_spheres maps each added handle's label to the pairing
     vector it was attached with (against the basis existing at the time).
     arc_system, when present, models the same fiber's matching arcs.
+    ``_key`` is the fiber's share of a datum's equality key, built once.
     """
 
     __slots__ = ("lattice", "basis_labels", "stabilizing_spheres",
-                 "arc_system")
+                 "arc_system", "_key", "_handle", "_children", "__weakref__")
 
     def __init__(self, lattice, basis_labels, stabilizing_spheres=None,
                  arc_system=None):
@@ -115,6 +118,13 @@ class FiberModel:
         object.__setattr__(self, "basis_labels", basis_labels)
         object.__setattr__(self, "stabilizing_spheres", stab)
         object.__setattr__(self, "arc_system", arc_system)
+        object.__setattr__(self, "_key", (
+            lattice, basis_labels, tuple(sorted(stab.items())),
+            None if arc_system is None else (arc_system.m, arc_system.n)))
+        # the sphere of the handle that made this fiber, if one did
+        object.__setattr__(self, "_handle", None)
+        # (pairings, label) -> child fiber, see attach_stabilizing_handle
+        object.__setattr__(self, "_children", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiberModel is immutable")
@@ -147,6 +157,10 @@ def attach_stabilizing_handle(fiber, pairings, label):
 
     The new basis sphere s satisfies <s, b_j> = pairings[j] against each
     pre-existing basis vector and has the parity-mandated self-pairing.
+    The same pairings and label on the same fiber give the identical
+    fiber' for as long as anything holds it: the parent keeps only weak
+    references to its children, so a stabilized fiber lives no longer
+    than the data built on it.
     """
     pairings = tuple(int(p) for p in pairings)
     rank = fiber.lattice.rank
@@ -155,6 +169,13 @@ def attach_stabilizing_handle(fiber, pairings, label):
                          expected=rank, got=len(pairings))
     if label in fiber.basis_labels:
         raise FiberError("label already used in this fiber", label=label)
+    children = fiber._children
+    if children is None:
+        children = weakref.WeakValueDictionary()
+        object.__setattr__(fiber, "_children", children)
+    model = children.get((pairings, label))
+    if model is not None:
+        return model, model._handle
     n = fiber.lattice.n
     old = fiber.lattice.gram
     flip = 1 if n % 2 == 0 else -1
@@ -168,6 +189,8 @@ def attach_stabilizing_handle(fiber, pairings, label):
     model = FiberModel(lattice, fiber.basis_labels + (label,), stab,
                        fiber.arc_system)
     sphere = lattice.basis_sphere(rank + 1, label=label)
+    object.__setattr__(model, "_handle", sphere)
+    children[(pairings, label)] = model
     return model, sphere
 
 

@@ -74,8 +74,13 @@ class VanishingCycle:
         return self._key() == other._key()
 
     def __hash__(self):
+        # The arc stays out: hashing it would need its canonical form.
+        # Equal cycles have equal words, so they still hash equal; two
+        # cycles that differ only in a non-isotopic arc share a hash and
+        # are told apart by __eq__.
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._key()))
+            object.__setattr__(self, "_hash", hash(
+                (self.word, self.stabilization_sphere, self.loose_certified)))
         return self._hash
 
     def __repr__(self):
@@ -128,15 +133,7 @@ class LefschetzDatum:
         return self.fiber.lattice.n
 
     def _key(self):
-        sys = self.fiber.arc_system
-        return (
-            self.fiber.lattice,
-            self.fiber.basis_labels,
-            tuple(sorted(self.fiber.stabilizing_spheres.items())),
-            None if sys is None else (sys.m, sys.n),
-            self.cycles,
-            self.sf_spheres,
-        )
+        return (self.fiber._key, self.cycles, self.sf_spheres)
 
     def __eq__(self, other):
         if not isinstance(other, LefschetzDatum):

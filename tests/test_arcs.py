@@ -18,10 +18,12 @@ square against the lattice engine a genuine two-route test.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lefweave.arcs import (
     ArcError,
     ArcSystem,
+    _apply_gens,
     apply_half_twist,
     arc_to_class,
     arcs_isotopic,
@@ -272,3 +274,43 @@ def test_mirror_windings_distinguished():
     left = twist_by_word(sys, [(2, 1), (3, 1), (2, -1)], a1)
     right = twist_by_word(sys, [(2, 1), (3, -1), (2, -1)], a1)
     assert not arcs_isotopic(sys, left, right)
+
+
+@st.composite
+def histories(draw):
+    """Arcs on ArcSystem(m) built by random half-twist histories.
+
+    Centers are standard arcs or arcs built earlier, so histories nest;
+    some triples are forced along the way, so both the linked and the
+    rebuilt routes to a triple run.
+    """
+    m = draw(st.integers(3, 5))
+    sys = ArcSystem(m, n=2)
+    edge = st.integers(1, m - 1)
+    built = []
+    for _ in range(draw(st.integers(2, 6))):
+        arc = standard_arc(sys, draw(edge))
+        for _ in range(draw(st.integers(0, 3))):
+            if built and draw(st.booleans()):
+                center = draw(st.sampled_from(built))
+            else:
+                center = standard_arc(sys, draw(edge))
+            arc = apply_half_twist(sys, center, arc,
+                                   draw(st.sampled_from((-2, -1, 1, 2))))
+            if draw(st.booleans()):
+                arc.triple()
+        built.append(arc)
+    return sys, built
+
+
+@settings(max_examples=150, deadline=None)
+@given(histories())
+def test_history_equality_lazy_triples_match_canonical(drawn):
+    sys, built = drawn
+    for a in built:
+        base = (a.base_index, a.base_index + 1, ())
+        assert a.triple() == _apply_gens(base, a._mapping_gens())
+        for b in built:
+            assert (a == b) == (a.canonical() == b.canonical())
+            if a == b:
+                assert hash(a) == hash(b)

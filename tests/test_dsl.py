@@ -147,3 +147,21 @@ def test_plumbing_shorthand_only():
     assert ws.definitions == (("fiber", "p", ("plumbing", 4, 3)),)
     check_error("fiber p = plumbing star n=3\n",
                 "path shorthand", 1, 20)
+
+
+def test_long_word_round_trip_compares_and_hashes():
+    # 5000 nested twist letters: comparing or hashing the nested AST
+    # recursed once per letter
+    template = ("fiber a2 = ak 3 n=2\n"
+                "datum D over a2 = [%s, arc(1,2; a1)]\n"
+                "print invariants D\n")
+    body = "tw(e1)^1 tw(e2)^-1 " * 2500
+    ws = parse(template % (body + "e1"))
+    twin = parse(pretty_print(ws))
+    assert twin == ws and hash(twin) == hash(ws)
+    # the AST keeps its nesting: one ("tw", sphere, exp, rest) per letter
+    ast = ws.definitions[1][2][2][0]
+    assert ast[:3] == ("tw", "e1", 1) and ast[3][:3] == ("tw", "e2", -1)
+    # a change in the innermost cycle or in the last letter still shows
+    assert parse(template % (body + "e2")) != ws
+    assert parse(template % (body[:-len("tw(e2)^-1 ")] + "tw(e2)^1 e1")) != ws

@@ -8,7 +8,9 @@ Frozen values:
 - attaching a handle to A1 (n=2) with pairing [1] gives the A2 gram.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -134,6 +136,26 @@ def test_attach_wrong_length():
         attach_stabilizing_handle(F, [1], "s")
     with pytest.raises(FiberError):
         attach_stabilizing_handle(F, [1, 0], "v1")  # label collision
+
+
+def test_attach_shares_children_weakly():
+    F = plumbing_lattice(PlumbingTree.path(2), 2)
+    child, s = attach_stabilizing_handle(F, [1, 0], "s1")
+    again, s_again = attach_stabilizing_handle(F, (1, 0), "s1")
+    assert again is child and s_again == s
+    other, _ = attach_stabilizing_handle(F, [0, 1], "s1")
+    assert other is not child and other.lattice != child.lattice
+    renamed, _ = attach_stabilizing_handle(F, [1, 0], "s2")
+    assert renamed is not child and renamed.basis_labels[-1] == "s2"
+    # the parent holds its children weakly: a child nothing else holds
+    # is freed, so search does not keep every stabilized fiber alive
+    ref = weakref.ref(child)
+    del child, again, other, renamed
+    gc.collect()
+    assert ref() is None
+    fresh, s_fresh = attach_stabilizing_handle(F, [1, 0], "s1")
+    assert fresh.lattice.gram == ((-2, 1, 1), (1, -2, 0), (1, 0, -2))
+    assert s_fresh == s
 
 
 def test_attach_block_determinants():

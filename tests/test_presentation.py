@@ -343,6 +343,34 @@ def test_boundary_connect_sum_keeps_handle_labels():
     assert out.cycles[5].stabilization_sphere
 
 
+def test_cycles_with_one_word_and_non_isotopic_arcs_stay_apart():
+    # t_2^2(std_1) has the class of std_1 at n=2 but is another arc; the
+    # cycle hash leaves arcs out, so only __eq__ tells the cycles apart
+    fiber = ak_matching_fiber(3, 2)
+    system = fiber.arc_system
+    std1 = standard_arc(system, 1)
+    looped = apply_half_twist(system, standard_arc(system, 2), std1, 2)
+    e1 = fiber.basis_sphere("e1")
+    plain = trivial_cycle(fiber, e1, arc=std1)
+    twisted = trivial_cycle(fiber, e1, arc=looped)
+    assert plain.word == twisted.word and plain != twisted
+    assert hash(plain) == hash(twisted)
+    assert len({plain, twisted}) == 2
+    # the same dedup search uses: data differing in one arc both stay,
+    # an isotopic arc with another history is a duplicate
+    other = trivial_cycle(fiber, fiber.basis_sphere("e2"))
+    first = LefschetzDatum(fiber, (plain, other))
+    seen = {first}
+    second = LefschetzDatum(fiber, (twisted, other))
+    assert second not in seen
+    seen.add(second)
+    assert len(seen) == 2
+    fixed = apply_half_twist(system, std1, std1, 1)
+    assert fixed.word != std1.word
+    assert LefschetzDatum(
+        fiber, (trivial_cycle(fiber, e1, arc=fixed), other)) in seen
+
+
 def test_cycle_cache_and_immutability():
     fiber = plumbing_lattice(PlumbingTree.path(2, prefix="e"), 2)
     e1 = fiber.basis_sphere("e1")
