@@ -2,9 +2,18 @@
 
 The model: m marked points p_1..p_m sit on a horizontal line in the disk.
 A matching arc connects two distinct marked points. Arcs are stored as a
-base edge plus a word of half-twists applied to it; isotopy questions are
-decided through a canonical combinatorial form, never through the twist
-word itself.
+base edge plus a word of half-twists applied to it; isotopy is decided by
+an exact integer key, never by the twist word itself.
+
+Key. An arc is determined by the boundary of its regular neighbourhood, a
+curve around exactly its two endpoints, and the curve by its Dynnikov
+coordinates (a_1..a_{m-2}, b_1..b_{m-2}); for m = 2 the key is empty.
+`MatchingArc.key` holds them, built from the arc's sigma-letters by a few
+integer max/min steps per letter (Dynnikov, Russian Math. Surveys 57
+(2002); Thiffeault, arXiv:1410.0849). Equality and hashing use the key.
+
+The triples and the canonical form below are the key's independent
+oracle: no move or comparison reaches them.
 
 Encoding. An arc from p_i to p_j is represented by a triple (i, j, w)
 where w is a word in the free group on loops x_1..x_m (x_l circles p_l
@@ -32,7 +41,8 @@ point slides off around that point. The reduced sequence, together with
 the endpoints and taken up to reversal, is a complete isotopy invariant.
 `coords` are the crossing counts with the interior gaps and the lower
 rays; equal arcs have equal coords, but the sequence is what decides
-equality, since mirror windings can share all counts.
+equality, since mirror windings can share all counts. The triple's word
+can grow exponentially in the number of sigma-letters.
 
 Classes. `arc_to_class` evaluates the twist word on the base edge's class
 in the A_{m-1} lattice. `odd_class` reads the class off the canonical
@@ -188,6 +198,39 @@ def _reduce_events(events, i, j):
 
 
 # ---------------------------------------------------------------------------
+# Dynnikov coordinates: the isotopy key
+
+
+def _dynnikov_key(u, gens):
+    """Act on the key u = (a_1..a_{m-2}, b_1..b_{m-2}) by sigma-letters,
+    rightmost (innermost) first, as `_apply_gens` does.
+
+    The end generators use one sign convention and the middle ones its
+    mirror; only this mix (or its full mirror) satisfies the braid
+    relations, and a mirror fixes the base edges, so it cannot change
+    which arcs are equal.
+    """
+    h = len(u) // 2
+    if h == 0:
+        return u
+    a, b = list(u[:h]), list(u[h:])
+    for k, s in reversed(gens):
+        if k == 1 or k == h + 1:
+            i, clamp = (0, max) if k == 1 else (h - 1, min)
+            t = clamp(b[i], 0) + s * a[i]
+            a[i], b[i] = s * (clamp(t, 0) - b[i]), t
+        else:
+            i = k - 2
+            x, y, x2, y2 = a[i], b[i], a[i + 1], b[i + 1]
+            d = s * (x - x2) + min(y, 0) - max(y2, 0)
+            a[i] = x - s * (max(y, 0) + max(max(y2, 0) + d, 0))
+            b[i] = y2 + min(d, 0)
+            a[i + 1] = x2 - s * (min(y2, 0) + min(min(y, 0) - d, 0))
+            b[i + 1] = y - min(d, 0)
+    return tuple(a) + tuple(b)
+
+
+# ---------------------------------------------------------------------------
 # the arc objects
 
 
@@ -198,12 +241,10 @@ class MatchingArc:
     outermost, applied to the standard edge with index `base_index`.
     Two arcs with the same system size, base edge and word have the same
     half-twist history, so they are equal outright; any other pair is
-    compared, and every arc is hashed, through the canonical form.
-
-    The triple is built on first use.  An arc made by `apply_half_twist`
-    keeps a link to its target and the sigma-letters of the new twist;
-    `triple()` applies those letters to the target's triple, then drops
-    the link.
+    compared, and every arc is hashed, by `key`, its Dynnikov
+    coordinates, built from its sigma-letters on first use. The canonical
+    form is the key's oracle, reached only through `endpoints`, `coords`,
+    `odd_class` and `geometric_intersection`.
     """
 
     def __init__(self, system, base_index, word=()):
@@ -211,10 +252,8 @@ class MatchingArc:
         self.base_index = base_index
         self.word = tuple(word)
         self._gens = None
-        self._triple = None
+        self._key = None
         self._canon = None
-        # (target, sigma-letters) until the triple is built
-        self._link = None
 
     def _mapping_gens(self):
         if self._gens is None:
@@ -222,25 +261,21 @@ class MatchingArc:
                                for g in _letter_gens(arc, power))
         return self._gens
 
+    @property
+    def key(self):
+        if self._key is None:
+            # the standard edge from p_k to p_{k+1}: every a_i is 0,
+            # b_{k-1} = -1 and b_k = +1 where those indices exist
+            m, k = self.system.m, self.base_index
+            b = [0] * m
+            b[k - 1], b[k] = -1, 1
+            self._key = _dynnikov_key(
+                (0,) * (m - 2) + tuple(b[1:m - 1]), self._mapping_gens())
+        return self._key
+
     def triple(self):
-        if self._triple is None:
-            # walk the links back to an arc that can build its triple on
-            # its own, then apply the pending letters outwards: a long
-            # chain of twists never deepens the call stack
-            chain = []
-            arc = self
-            while arc._triple is None and arc._link is not None:
-                chain.append(arc)
-                arc = arc._link[0]
-            if arc._triple is None:
-                base = (arc.base_index, arc.base_index + 1, ())
-                arc._triple = _apply_gens(base, arc._mapping_gens())
-            triple = arc._triple
-            for arc in reversed(chain):
-                triple = _apply_gens(triple, arc._link[1])
-                arc._triple = triple
-                arc._link = None
-        return self._triple
+        base = (self.base_index, self.base_index + 1, ())
+        return _apply_gens(base, self._mapping_gens())
 
     def canonical(self):
         if self._canon is None:
@@ -277,14 +312,13 @@ class MatchingArc:
         if self is other or (self.base_index == other.base_index
                              and self.word == other.word):
             return True
-        return self.canonical() == other.canonical()
+        return self.key == other.key
 
     def __hash__(self):
-        return hash((self.system.m, self.canonical()))
+        return hash(self.key)
 
     def __repr__(self):
-        i, j, _ = self.canonical()
-        return "MatchingArc(%d-%d, coords=%r)" % (i, j, self.coords)
+        return "MatchingArc(m=%d, key=%r)" % (self.system.m, self.key)
 
 
 def _letter_gens(arc, power):
@@ -294,7 +328,7 @@ def _letter_gens(arc, power):
         return ()
     inner = arc._mapping_gens()
     core = ((arc.base_index, 1 if power > 0 else -1),) * abs(power)
-    return inner + core + tuple((k, -s) for k, s in reversed(inner))
+    return _free_reduce(inner + core + _invert(inner))
 
 
 class ArcSystem:
@@ -338,21 +372,12 @@ def apply_half_twist(system, arc, target, power=1):
         )
     if power == 0:
         return target
-    word = target.word
-    if word and word[0][0] == arc:
-        merged = power + word[0][1]
-        rest = word[1:]
-        if merged == 0:
-            word = rest
-        else:
-            word = ((arc, merged),) + rest
-        return MatchingArc(system, target.base_index, word)
-    image = MatchingArc(system, target.base_index, ((arc, power),) + word)
+    image = MatchingArc(system, target.base_index,
+                        ((arc, power),) + target.word)
     # gens(image) = gens(letter) + gens(target), applied right to left;
-    # the triple waits until someone asks for it
-    letter = _letter_gens(arc, power)
-    image._gens = letter + target._mapping_gens()
-    image._link = (target, letter)
+    # built now, so a long chain of twists never recurses to get them
+    image._gens = _free_reduce(
+        _letter_gens(arc, power) + target._mapping_gens())
     return image
 
 
@@ -360,7 +385,7 @@ def arcs_isotopic(system, a, b):
     """Whether two arcs are isotopic rel the marked points."""
     if a.system.m != system.m or b.system.m != system.m:
         raise ArcError("arcs belong to a different system", m=system.m)
-    return a.canonical() == b.canonical()
+    return a == b
 
 
 def geometric_intersection(system, a, b):

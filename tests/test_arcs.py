@@ -18,12 +18,12 @@ square against the lattice engine a genuine two-route test.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from lefweave.arcs import (
     ArcError,
     ArcSystem,
-    _apply_gens,
+    _dynnikov_key,
     apply_half_twist,
     arc_to_class,
     arcs_isotopic,
@@ -280,9 +280,7 @@ def test_mirror_windings_distinguished():
 def histories(draw):
     """Arcs on ArcSystem(m) built by random half-twist histories.
 
-    Centers are standard arcs or arcs built earlier, so histories nest;
-    some triples are forced along the way, so both the linked and the
-    rebuilt routes to a triple run.
+    Centers are standard arcs or arcs built earlier, so histories nest.
     """
     m = draw(st.integers(3, 5))
     sys = ArcSystem(m, n=2)
@@ -297,20 +295,92 @@ def histories(draw):
                 center = standard_arc(sys, draw(edge))
             arc = apply_half_twist(sys, center, arc,
                                    draw(st.sampled_from((-2, -1, 1, 2))))
-            if draw(st.booleans()):
-                arc.triple()
         built.append(arc)
     return sys, built
+
+
+# the canonical form can grow exponentially in the sigma-letters, so the
+# oracle only sees arcs with short ones
+ORACLE_LETTERS = 40
 
 
 @settings(max_examples=150, deadline=None)
 @given(histories())
 def test_history_equality_lazy_triples_match_canonical(drawn):
+    """`==`, `hash` and the key agree on every pair; the canonical form
+    agrees with them on every pair of arcs short enough for it."""
     sys, built = drawn
+    checked = 0
     for a in built:
-        base = (a.base_index, a.base_index + 1, ())
-        assert a.triple() == _apply_gens(base, a._mapping_gens())
         for b in built:
-            assert (a == b) == (a.canonical() == b.canonical())
+            assert (a == b) == (a.key == b.key)
             if a == b:
                 assert hash(a) == hash(b)
+            if max(len(a._mapping_gens()),
+                   len(b._mapping_gens())) <= ORACLE_LETTERS:
+                assert (a == b) == (a.canonical() == b.canonical())
+                checked += 1
+    event("oracle-checked pairs: %d%%"
+          % (100 * checked // len(built) ** 2 // 10 * 10))
+
+
+# group laws of the key update, on arbitrary integer vectors
+
+
+@st.composite
+def key_vectors(draw, least=3):
+    m = draw(st.integers(least, 6))
+    u = tuple(draw(st.lists(st.integers(-40, 40), min_size=2 * (m - 2),
+                            max_size=2 * (m - 2))))
+    return m, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_vectors(), st.data())
+def test_key_update_inverse(drawn, data):
+    m, u = drawn
+    k = data.draw(st.integers(1, m - 1))
+    assert _dynnikov_key(u, ((k, 1), (k, -1))) == u
+    assert _dynnikov_key(u, ((k, -1), (k, 1))) == u
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_vectors(), st.data())
+def test_key_update_braid_relation(drawn, data):
+    m, u = drawn
+    k = data.draw(st.integers(1, m - 2))
+    s = data.draw(st.sampled_from((-1, 1)))
+    lhs = ((k, s), (k + 1, s), (k, s))
+    rhs = ((k + 1, s), (k, s), (k + 1, s))
+    assert _dynnikov_key(u, lhs) == _dynnikov_key(u, rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_vectors(least=4), st.data())
+def test_key_update_far_commutation(drawn, data):
+    m, u = drawn
+    i = data.draw(st.integers(1, m - 3))
+    j = data.draw(st.integers(i + 2, m - 1))
+    s, t = data.draw(st.sampled_from((-1, 1))), data.draw(
+        st.sampled_from((-1, 1)))
+    assert (_dynnikov_key(u, ((i, s), (j, t)))
+            == _dynnikov_key(u, ((j, t), (i, s))))
+
+
+def test_standard_edge_keys():
+    # all a_i are 0; b_{k-1} = -1 if k >= 2 and b_k = +1 if k <= m-2
+    assert standard_arc(ArcSystem(2), 1).key == ()
+    sys3 = ArcSystem(3)
+    assert [standard_arc(sys3, k).key for k in (1, 2)] == [(0, 1), (0, -1)]
+    sys4 = ArcSystem(4)
+    assert [standard_arc(sys4, k).key for k in (1, 2, 3)] == [
+        (0, 0, 1, 0), (0, 0, -1, 1), (0, 0, 0, -1)]
+    for m in range(3, 7):
+        sys = ArcSystem(m)
+        for k in range(1, m):
+            edge = standard_arc(sys, k).key
+            # a half-twist fixes its own edge and every edge apart from it
+            for j in range(1, m):
+                if abs(j - k) != 1:
+                    for s in (-1, 1):
+                        assert _dynnikov_key(edge, ((j, s),)) == edge

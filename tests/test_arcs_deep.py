@@ -1,0 +1,116 @@
+"""Deep half-twist histories: search, scripts and long move chains.
+
+Arc equality goes through the Dynnikov key, whose cost is linear in the
+sigma-letters; the canonical form it replaced grew exponentially in them.
+These inputs pin that: each one exhausted memory or ran for minutes while
+equality went through the canonical form.
+
+D_deep is the datum on the A_2 matching fiber (3 marked points, n = 2)
+whose three cycles start on a1, a2, a1 (the first a stabilization
+sphere), and whose arcs then get three half-twists each, applied in list
+order as (standard centre arc, power). Each cycle's word is the induced
+word of its arc.
+"""
+
+import contextlib
+import signal
+import time
+import tracemalloc
+
+from lefweave.arcs import apply_half_twist, induced_word, standard_arc
+from lefweave.certify import search_certificate
+from lefweave.cli import main
+from lefweave.fibers import ak_matching_fiber
+from lefweave.presentation import LefschetzDatum, VanishingCycle, \
+    hurwitz_left
+
+D_DEEP = (
+    (1, ((2, 2), (2, 2), (2, -1))),
+    (2, ((2, 2), (1, 1), (1, 2))),
+    (1, ((2, 2), (2, -1), (1, 2))),
+)
+
+
+@contextlib.contextmanager
+def wall_clock_cap(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError("over the %s s wall-clock cap" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def d_deep():
+    fiber = ak_matching_fiber(3, 2)
+    system = fiber.arc_system
+    cycles = []
+    for position, (base, twists) in enumerate(D_DEEP):
+        arc = standard_arc(system, base)
+        for center, power in twists:
+            arc = apply_half_twist(system, standard_arc(system, center), arc,
+                                   power)
+        cycles.append(VanishingCycle(
+            fiber.lattice, induced_word(system, arc), arc=arc,
+            stabilization_sphere=position == 0))
+    return LefschetzDatum(fiber, cycles)
+
+
+def test_d_deep_depth_3_finds_nothing():
+    with wall_clock_cap(20):
+        assert search_certificate(d_deep(), 3, 1000) is None
+
+
+def test_d_deep_depth_7_is_bounded():
+    D = d_deep()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with wall_clock_cap(30):
+            search_certificate(D, 7, 1000)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 30
+    # about 6 MB when measured; the canonical form ran past 2 GB at depth 4
+    assert peak < 64 * 2 ** 20
+
+
+def test_hurwitz_chain_script(tmp_path, capsys):
+    path = tmp_path / "chain.lef"
+    path.write_text(
+        "fiber a = ak 3 n=2\n"
+        "datum D over a = [arc(1,2; a1), arc(2,3; a2)]\n"
+        "script S on D {\n" + "  hurwitzL 1;\n" * 40 + "}\n"
+        "verify S\n"
+        "print invariants S\n"
+        "search S depth=3 width=1000\n",
+        encoding="utf-8")
+    with wall_clock_cap(30):
+        status = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert status in (0, 1)
+    assert captured.err == ""
+
+
+def test_long_move_chain_stays_linear():
+    fiber = ak_matching_fiber(3, 2)
+    system = fiber.arc_system
+    cycles = [VanishingCycle(fiber.lattice,
+                             induced_word(system, standard_arc(system, k)),
+                             arc=standard_arc(system, k)) for k in (1, 2)]
+    D = LefschetzDatum(fiber, cycles)
+    with wall_clock_cap(60):
+        for _ in range(2000):
+            D = hurwitz_left(D, 1)
+        first, second = (cyc.arc for cyc in D.cycles)
+        # the two histories differ, so this compares keys
+        assert first != second
+    assert max(len(first._mapping_gens()), len(second._mapping_gens())) \
+        <= 3000
