@@ -254,6 +254,8 @@ class MatchingArc:
         self._gens = None
         self._key = None
         self._canon = None
+        # (lattice, unnormalized class) once arc_to_class has needed it
+        self._class = None
 
     def _mapping_gens(self):
         if self._gens is None:
@@ -428,12 +430,33 @@ def arc_to_class(system, arc):
 
 
 def _raw_class(system, arc):
+    """The arc's unnormalized class, kept on each arc it needs.
+
+    Each arc of the history is evaluated once, inner arcs first, by an
+    explicit stack: re-evaluating every inner arc at each use made the
+    cost exponential in the nesting.
+    """
     L = system.lattice
-    v = L.basis_sphere(arc.base_index)
-    for inner, power in reversed(arc.word):
-        center = _raw_class(system, inner)
-        v = twist_power(L, center, v, power)
-    return v
+
+    def known(a):
+        return a._class is not None and a._class[0] is L
+
+    stack = [arc]
+    while stack:
+        top = stack[-1]
+        if known(top):
+            stack.pop()
+            continue
+        todo = [inner for inner, _ in top.word if not known(inner)]
+        if todo:
+            stack.extend(todo)
+            continue
+        v = L.basis_sphere(top.base_index)
+        for inner, power in reversed(top.word):
+            v = twist_power(L, inner._class[1], v, power)
+        top._class = (L, v)
+        stack.pop()
+    return arc._class[1]
 
 
 def induced_word(system, arc):

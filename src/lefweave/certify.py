@@ -17,6 +17,7 @@ step acting across the basepoint (position k) is marked "[wrap]" in
 the trace.
 """
 
+import functools
 from collections import namedtuple
 
 from . import LefweaveError
@@ -306,25 +307,58 @@ def _all_flagged(D):
                for c in D.cycles)
 
 
-def _child_steps(D):
-    """Candidate next steps in canonical order.
+@functools.lru_cache(maxsize=256)
+def _step_table(k, rank, label):
+    """Each candidate step on k cycles over a rank-``rank`` fiber whose
+    next handle is ``label``, paired with its summary entries.
 
-    rotate, then hurwitz_left and hurwitz_right by ascending position,
-    then loose certifications, then fiber stabilizations along the
-    basis-disk catalogue.
+    Canonical order: rotate, then hurwitz_left, hurwitz_right and
+    certify_loose by ascending position, then fiber stabilizations
+    along the basis-disk catalogue.  So for k >= 2, certifying the
+    pair at position i is entry 2k + i.
     """
-    k = len(D.cycles)
     steps = []
     if k >= 2:
         steps.append(("rotate", ()))
         for tag in ("hurwitz_left", "hurwitz_right", "certify_loose"):
             steps.extend((tag, (i,)) for i in range(1, k + 1))
-    rank = D.fiber.lattice.rank
-    label = stabilize_label(D.fiber)
     for j in range(rank):
         unit = tuple(1 if t == j else 0 for t in range(rank))
         steps.append(("stabilize", (unit, label)))
-    return steps
+    return tuple((step, step_certifications(step, k)) for step in steps)
+
+
+def _child_steps(D):
+    """The shared (step, summary entries) table for D's children."""
+    return _step_table(len(D.cycles), D.fiber.lattice.rank,
+                       stabilize_label(D.fiber))
+
+
+def _first_loose_child(frontier):
+    """The certificate of the first accepting child of ``frontier``.
+
+    Only a certify_loose child can be all-flagged: a Hurwitz child holds
+    its new twisted cycle unflagged, rotate and stabilize keep the
+    parent's flags, and no frontier node is all-flagged.  So a parent
+    yields one only when exactly one of its cycles is unflagged, by
+    certifying that cycle, and only that child is built.  The child
+    cannot have been seen: an equal node would be all-flagged too.
+    """
+    for datum, moves, summary in frontier:
+        k = len(datum.cycles)
+        unflagged = [b for b, c in enumerate(datum.cycles)
+                     if not (c.loose_certified or c.stabilization_sphere)]
+        if k < 2 or len(unflagged) != 1:
+            continue
+        # cycle b is certified from position i with i % k == b
+        step, certs = _child_steps(datum)[2 * k + (unflagged[0] or k)]
+        try:
+            child = apply_step(datum, step)
+        except LefweaveError:
+            continue
+        return Certificate(moves + (step,), summary + certs,
+                           terminal_claim(child))
+    return None
 
 
 def search_certificate(D, depth, width):
@@ -334,6 +368,12 @@ def search_certificate(D, depth, width):
     level is truncated to ``width`` nodes, and the first accepting node
     wins.  Depth counts every step, certifications included.  A miss
     means "no certificate within bounds", nothing more.
+
+    The last level is decided without being built whenever its parents
+    have at most ``width`` candidate steps in all, so that no truncation
+    can happen there: only the one child that could accept is tried
+    (see _first_loose_child).  Results and width semantics are those of
+    building the level.
     """
     if depth < 0:
         raise CertifyError("depth must be nonnegative", depth=depth)
@@ -347,12 +387,14 @@ def search_certificate(D, depth, width):
                 return Certificate(moves, summary, terminal_claim(datum))
         if level == depth:
             break
+        if level == depth - 1 and sum(
+                len(_child_steps(datum)) for datum, _, _ in frontier) <= width:
+            return _first_loose_child(frontier)
         grown = []
         for datum, moves, summary in frontier:
             if len(grown) >= width:
                 break
-            k = len(datum.cycles)
-            for step in _child_steps(datum):
+            for step, certs in _child_steps(datum):
                 try:
                     child = apply_step(datum, step)
                 except LefweaveError:
@@ -360,8 +402,7 @@ def search_certificate(D, depth, width):
                 if child in seen:
                     continue
                 seen.add(child)
-                grown.append((child, moves + (step,),
-                              summary + step_certifications(step, k)))
+                grown.append((child, moves + (step,), summary + certs))
                 if len(grown) >= width:
                     break
         if not grown:

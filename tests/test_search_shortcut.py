@@ -1,0 +1,217 @@
+"""search_certificate against a reference breadth-first search.
+
+The search decides its last level without building it (see
+certify._first_loose_child).  The reference below is the level loop
+that builds every level, kept here as the oracle: its results are the
+results the search must give, at every depth and width, on seeded arc
+data and on the x1/x2 presets.
+
+``width_bound`` is the guard's bound: the number of candidate steps of
+the last level's parents.  At or above it no truncation can happen, so
+the search must take its shortcut and build far fewer nodes; one below
+it the search builds the level as the reference does.
+"""
+
+import random
+
+import pytest
+
+from lefweave import LefweaveError, certify, presets
+from lefweave.arcs import apply_half_twist, induced_word, standard_arc
+from lefweave.certify import Certificate, search_certificate, \
+    step_certifications, terminal_claim, verify_certificate
+from lefweave.fibers import ak_matching_fiber
+from lefweave.presentation import LefschetzDatum, VanishingCycle, \
+    stabilize_label
+
+FIXED_WIDTHS = (1, 3, 17, 10000)
+
+
+def reference_steps(D):
+    """Candidate steps in canonical order, as a fresh list."""
+    k = len(D.cycles)
+    steps = []
+    if k >= 2:
+        steps.append(("rotate", ()))
+        for tag in ("hurwitz_left", "hurwitz_right", "certify_loose"):
+            steps.extend((tag, (i,)) for i in range(1, k + 1))
+    rank = D.fiber.lattice.rank
+    label = stabilize_label(D.fiber)
+    for j in range(rank):
+        unit = tuple(1 if t == j else 0 for t in range(rank))
+        steps.append(("stabilize", (unit, label)))
+    return steps
+
+
+def reference_search(D, depth, width):
+    """Build every level; return (result, steps of the last parents).
+
+    The second value is None unless the loop reached the level before
+    the last one without accepting.
+    """
+    seen = {D}
+    frontier = [(D, (), ())]
+    last_steps = None
+    for level in range(depth + 1):
+        for datum, moves, summary in frontier:
+            if all(c.loose_certified or c.stabilization_sphere
+                   for c in datum.cycles):
+                return (Certificate(moves, summary, terminal_claim(datum)),
+                        last_steps)
+        if level == depth:
+            break
+        if level == depth - 1:
+            last_steps = sum(len(reference_steps(d)) for d, _, _ in frontier)
+        grown = []
+        for datum, moves, summary in frontier:
+            if len(grown) >= width:
+                break
+            k = len(datum.cycles)
+            for step in reference_steps(datum):
+                try:
+                    child = certify.apply_step(datum, step)
+                except LefweaveError:
+                    continue
+                if child in seen:
+                    continue
+                seen.add(child)
+                grown.append((child, moves + (step,),
+                              summary + step_certifications(step, k)))
+                if len(grown) >= width:
+                    break
+        if not grown:
+            break
+        frontier = grown
+    return None, last_steps
+
+
+def width_bound(D, depth):
+    """The guard's bound for an untruncated search, or None."""
+    return reference_search(D, depth, 10 ** 9)[1]
+
+
+def seeded_datum(rng, m, k):
+    """k cycles on the m-point disk, each a standard arc with 0-2
+    half-twists, mostly of power +-1; all cycles but one are
+    stabilization spheres, or for k = 3 one or two of them are."""
+    fiber = ak_matching_fiber(m, 2)
+    system = fiber.arc_system
+    spheres = rng.sample(range(k), k - 1 if k < 3 else rng.randint(1, 2))
+    cycles = []
+    for position in range(k):
+        arc = standard_arc(system, rng.randint(1, m - 1))
+        for _ in range(rng.randint(0, 2)):
+            center = standard_arc(system, rng.randint(1, m - 1))
+            arc = apply_half_twist(system, center, arc,
+                                   rng.choice((-2, -1, -1, 1, 1, 2)))
+        cycles.append(VanishingCycle(
+            fiber.lattice, induced_word(system, arc), arc=arc,
+            stabilization_sphere=position in spheres))
+    return LefschetzDatum(fiber, cycles)
+
+
+def seeded_pool():
+    """Four data per (m, k) for m = 3..5 and k = 2, 3, and one with a
+    single cycle per m: those certify by stabilize, hurwitz_left and
+    certify_loose, so the pool has finishes at depth 3 too."""
+    rng = random.Random(20151006)
+    pool = []
+    for m in (3, 4, 5):
+        for k in (1, 2, 2, 2, 2, 3, 3, 3, 3):
+            pool.append(("m%d-k%d-%d" % (m, k, len(pool)),
+                         seeded_datum(rng, m, k)))
+    return pool
+
+
+POOL = seeded_pool()
+DATA = POOL + [(name, presets.preset(name)) for name in ("x1", "x2")]
+
+
+class CountingApply:
+    """Stands in for certify.apply_step and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.apply = certify.apply_step
+
+    def __call__(self, D, step):
+        self.calls += 1
+        return self.apply(D, step)
+
+
+def counted(monkeypatch, run, *args):
+    counter = CountingApply()
+    monkeypatch.setattr(certify, "apply_step", counter)
+    try:
+        return run(*args), counter.calls
+    finally:
+        monkeypatch.undo()
+
+
+def check(D, depth, width, monkeypatch):
+    """Compare with the reference; return the search's and the
+    reference's apply_step calls and the reference's last-level steps."""
+    (expected, last_steps), ref_calls = counted(
+        monkeypatch, reference_search, D, depth, width)
+    found, calls = counted(monkeypatch, search_certificate, D, depth, width)
+    assert found == expected
+    if found is not None:
+        assert verify_certificate(D, found).accepted
+    assert calls <= ref_calls
+    return calls, ref_calls, last_steps
+
+
+@pytest.mark.parametrize("name,D", DATA, ids=[name for name, _ in DATA])
+@pytest.mark.parametrize("depth", (0, 1, 2, 3))
+def test_matches_reference_at_fixed_widths(name, D, depth, monkeypatch):
+    for width in FIXED_WIDTHS:
+        check(D, depth, width, monkeypatch)
+
+
+# every (datum, depth) whose search reaches the last level
+GUARDED = [(name, D, depth, bound) for name, D in DATA for depth in (1, 2, 3)
+           for bound in [width_bound(D, depth)] if bound is not None]
+
+
+@pytest.mark.parametrize("name,D,depth,bound", GUARDED,
+                         ids=["%s-%d" % (c[0], c[2]) for c in GUARDED])
+def test_matches_reference_at_the_guard_bound(name, D, depth, bound,
+                                              monkeypatch):
+    calls, ref_calls, last_steps = check(D, depth, bound, monkeypatch)
+    assert last_steps == bound
+    # the shortcut tries at most one child per parent
+    assert calls < ref_calls
+    if bound > 1:
+        check(D, depth, bound - 1, monkeypatch)
+
+
+# depth 4 builds thousands of nodes a datum: a subset keeps it quick
+DEEP = POOL[::5] + [(name, presets.preset(name)) for name in ("x1", "x2")]
+
+
+@pytest.mark.parametrize("name,D", DEEP, ids=[name for name, _ in DEEP])
+def test_matches_reference_at_depth_4(name, D, monkeypatch):
+    for width in FIXED_WIDTHS:
+        check(D, 4, width, monkeypatch)
+
+
+def test_pool_reaches_every_kind_of_finish():
+    finishes = set()
+    for _, D in POOL:
+        cert = search_certificate(D, 3, 10000)
+        if cert is None:
+            finishes.add("miss")
+            continue
+        # certify_loose keeps the cycle count, so the final one is the k
+        # of the last step; position k wraps around the basepoint
+        k = len(verify_certificate(D, cert).final.cycles)
+        finishes.add("wrap" if cert.moves[-1] == ("certify_loose", (k,))
+                     else "inner")
+    assert finishes == {"miss", "wrap", "inner"}
+
+
+def test_depth_3_builds_far_fewer_nodes(monkeypatch):
+    _, D = POOL[-1]
+    calls, ref_calls, last_steps = check(D, 3, 10000, monkeypatch)
+    assert last_steps is not None
+    assert 5 * calls < ref_calls
