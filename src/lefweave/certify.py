@@ -350,8 +350,12 @@ def _first_loose_child(frontier):
                      if not (c.loose_certified or c.stabilization_sphere)]
         if k < 2 or len(unflagged) != 1:
             continue
-        # cycle b is certified from position i with i % k == b
-        step, certs = _child_steps(datum)[2 * k + (unflagged[0] or k)]
+        b = unflagged[0]
+        # cycle b is certified from position i = b or k (i % k == b),
+        # and only when the cycle before it is a stabilization sphere
+        if not datum.cycles[b - 1].stabilization_sphere:
+            continue
+        step, certs = _child_steps(datum)[2 * k + (b or k)]
         try:
             child = apply_step(datum, step)
         except LefweaveError:
@@ -394,7 +398,12 @@ def search_certificate(D, depth, width):
         for datum, moves, summary in frontier:
             if len(grown) >= width:
                 break
+            cycles = datum.cycles
             for step, certs in _child_steps(datum):
+                # only certify_loose steps carry entries; one whose lead
+                # is not a stabilization sphere would raise CertifyError
+                if certs and not cycles[step[1][0] - 1].stabilization_sphere:
+                    continue
                 try:
                     child = apply_step(datum, step)
                 except LefweaveError:

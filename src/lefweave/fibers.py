@@ -92,11 +92,13 @@ class FiberModel:
     stabilizing_spheres maps each added handle's label to the pairing
     vector it was attached with (against the basis existing at the time).
     arc_system, when present, models the same fiber's matching arcs.
-    ``_key`` is the fiber's share of a datum's equality key, built once.
+    ``_key`` is the fiber's share of a datum's equality key, built and
+    hashed once.
     """
 
     __slots__ = ("lattice", "basis_labels", "stabilizing_spheres",
-                 "arc_system", "_key", "_handle", "_children", "__weakref__")
+                 "arc_system", "_key", "_key_hash", "_handle",
+                 "_handle_cycle", "_children", "__weakref__")
 
     def __init__(self, lattice, basis_labels, stabilizing_spheres=None,
                  arc_system=None):
@@ -118,11 +120,14 @@ class FiberModel:
         object.__setattr__(self, "basis_labels", basis_labels)
         object.__setattr__(self, "stabilizing_spheres", stab)
         object.__setattr__(self, "arc_system", arc_system)
-        object.__setattr__(self, "_key", (
-            lattice, basis_labels, tuple(sorted(stab.items())),
-            None if arc_system is None else (arc_system.m, arc_system.n)))
-        # the sphere of the handle that made this fiber, if one did
+        key = (lattice, basis_labels, tuple(sorted(stab.items())),
+               None if arc_system is None else (arc_system.m, arc_system.n))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_key_hash", hash(key))
+        # the sphere of the handle that made this fiber, if one did, and
+        # the stabilize cycle on it (see presentation.stabilize)
         object.__setattr__(self, "_handle", None)
+        object.__setattr__(self, "_handle_cycle", None)
         # (pairings, label) -> child fiber, see attach_stabilizing_handle
         object.__setattr__(self, "_children", None)
 
@@ -162,6 +167,17 @@ def attach_stabilizing_handle(fiber, pairings, label):
     references to its children, so a stabilized fiber lives no longer
     than the data built on it.
     """
+    children = fiber._children
+    if children is None:
+        children = weakref.WeakValueDictionary()
+        object.__setattr__(fiber, "_children", children)
+    # a cached child passed the checks below when it was built
+    try:
+        model = children.get((pairings, label))
+    except TypeError:  # unhashable pairings or label
+        model = None
+    if model is not None:
+        return model, model._handle
     pairings = tuple(int(p) for p in pairings)
     rank = fiber.lattice.rank
     if len(pairings) != rank:
@@ -169,10 +185,6 @@ def attach_stabilizing_handle(fiber, pairings, label):
                          expected=rank, got=len(pairings))
     if label in fiber.basis_labels:
         raise FiberError("label already used in this fiber", label=label)
-    children = fiber._children
-    if children is None:
-        children = weakref.WeakValueDictionary()
-        object.__setattr__(fiber, "_children", children)
     model = children.get((pairings, label))
     if model is not None:
         return model, model._handle

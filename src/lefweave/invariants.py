@@ -76,10 +76,14 @@ def _euler_formula(D):
 
 def total_space_homology(D):
     """Homology and chi of the total space; form fields left empty."""
+    return _homology(D, _divisors_and_kernel(D)[0])
+
+
+def _homology(D, divisors):
+    """total_space_homology, given the nonzero SNF divisors of D's d."""
     n = D.n
     rank = D.fiber.lattice.rank
     k = len(D.cycles)
-    divisors, kernel = _divisors_and_kernel(D)
     r = len(divisors)
     torsion = tuple(d for d in divisors if d > 1)
     homology = []
@@ -118,13 +122,17 @@ def middle_intersection_form(D):
     is integral: for odd n the two triangular halves agree on kernel
     vectors, for even n the fiber lattice is even.
     """
+    return _middle_form(D, _divisors_and_kernel(D)[1])
+
+
+def _middle_form(D, kernel):
+    """middle_intersection_form, given a basis of D's ker d."""
     n = D.n
     lattice = D.fiber.lattice
     klasses = [cyc.klass for cyc in D.cycles]
     diag = sphere_self_pairing(n + 1)
     flip = (-1) ** (n + 1)
     k = len(klasses)
-    _, kernel = _divisors_and_kernel(D)
     pair = {}
     for i in range(k):
         for j in range(i + 1, k):
@@ -205,8 +213,9 @@ def _signature(matrix):
 
 def total_space_invariants(D):
     """The full bundle: homology, chi, middle form, form invariants."""
-    base = total_space_homology(D)
-    form = middle_intersection_form(D)
+    divisors, kernel = _divisors_and_kernel(D)
+    base = _homology(D, divisors)
+    form = _middle_form(D, kernel)
     symmetric = D.n % 2 == 1
     return base._replace(
         middle_form=form,

@@ -54,9 +54,13 @@ def _as_int_rows(rows):
 
 
 class IntLattice:
-    """A finitely generated free abelian group with an integer Gram form."""
+    """A finitely generated free abelian group with an integer Gram form.
 
-    __slots__ = ("gram", "n", "rank", "_hash")
+    ``_centers`` holds the coordinates of every twist center this
+    lattice has accepted, so each is checked once (see twist_power).
+    """
+
+    __slots__ = ("gram", "n", "rank", "_hash", "_centers")
 
     def __init__(self, gram, n):
         gram = _as_int_rows(gram)
@@ -97,6 +101,7 @@ class IntLattice:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rank", len(gram))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_centers", set())
 
     def __setattr__(self, name, value):
         raise AttributeError("IntLattice is immutable")
@@ -264,21 +269,25 @@ def dehn_twist(L, S, x):
 def twist_power(L, S, x, exponent):
     """Apply tau_S^exponent exactly (closed form, valid for any integer).
 
-    For n even the center's self-pairing is checked on every call.
+    For n even the center's self-pairing is checked the first time the
+    lattice twists about it; a center that fails raises on every call,
+    since only accepted centers are remembered.
     """
     if L.n % 2 == 0:
-        self_pairing = pairing(L, S, S)
         required = sphere_self_pairing(L.n)
-        if self_pairing != required:
-            raise LatticeError(
-                "invalid twist center: self-pairing must be %d for n=%d"
-                % (required, L.n),
-                self_pairing=self_pairing,
-            )
+        if S.coords not in L._centers:
+            self_pairing = pairing(L, S, S)
+            if self_pairing != required:
+                raise LatticeError(
+                    "invalid twist center: self-pairing must be %d for n=%d"
+                    % (required, L.n),
+                    self_pairing=self_pairing,
+                )
+            L._centers.add(S.coords)
         # involution on the lattice: only exponent parity matters
         if exponent % 2 == 0:
             return SphereClass._of(x.coords)
-        m = (-2 // self_pairing) * pairing(L, x, S)
+        m = (-2 // required) * pairing(L, x, S)
     else:
         # transvection: tau^m(x) = x + m <x,S> S
         m = exponent * pairing(L, x, S)

@@ -143,7 +143,8 @@ class LefschetzDatum:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._key()))
+            object.__setattr__(self, "_hash", hash(
+                (self.fiber._key_hash, self.cycles, self.sf_spheres)))
         return self._hash
 
     def __repr__(self):
@@ -250,11 +251,17 @@ def stabilize_label(fiber):
 
 
 def stabilize(D, pairings, label):
-    """Attach a fiber handle and append its sphere as a new cycle."""
+    """Attach a fiber handle and append its sphere as a new cycle.
+
+    The sphere cycle is built once per stabilized fiber and shared by
+    every datum stabilized onto it.
+    """
     fiber, sphere = attach_stabilizing_handle(D.fiber, pairings, label)
-    lattice = fiber.lattice
+    if fiber._handle_cycle is None:
+        object.__setattr__(fiber, "_handle_cycle", trivial_cycle(
+            fiber.lattice, sphere, stabilization_sphere=True))
     cycles = [_grow_cycle(c) for c in D.cycles]
-    cycles.append(trivial_cycle(lattice, sphere, stabilization_sphere=True))
+    cycles.append(fiber._handle_cycle)
     return LefschetzDatum(fiber, cycles)
 
 

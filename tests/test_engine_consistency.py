@@ -2,8 +2,9 @@
 
 The moves derive each new cycle's class from cached classes, extend arc
 triples incrementally and cache hashes.  Random sequences of Hurwitz,
-rotate and stabilize moves on arc-carrying matching-fiber data check,
-after every step, that:
+rotate, stabilize and certify_loose steps, run through
+certify.apply_step on arc-carrying matching-fiber data, check after
+every step that:
 
   * every cached class equals the evaluation of its word;
   * every arc has the canonical form of the same arc rebuilt with no
@@ -11,19 +12,31 @@ after every step, that:
   * the datum equals, and hashes like, a datum rebuilt through the public
     constructors, which evaluate every word;
   * hurwitz_left after hurwitz_right at one position restores the
-    classes and words.
+    classes and words;
+  * the shadow interpreter of verify_certificate, replaying the same
+    steps over raw tuples, has the same classes, flags, labels and gram.
+
+certify_loose steps join the mix, some on a drawn pair (which rarely
+fits the rule) and some after sweeping a sphere into place (see
+planned_steps).  When the engine rejects one, the shadow must reject
+it too.  The shadow is driven through its own entry points
+(certify._shadow_state, certify._sh_apply and certify._eval) and
+compared here, with no engine helper in between.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from lefweave import certify
 from lefweave.arcs import MatchingArc, apply_half_twist, induced_word, \
     standard_arc
 from lefweave.fibers import ak_matching_fiber
 from lefweave.lattice import SphereClass, TwistWord, evaluate_word
 from lefweave.presentation import LefschetzDatum, VanishingCycle, \
-    hurwitz_left, hurwitz_right, rotate, stabilize
+    hurwitz_left, hurwitz_right
 
-MOVES = ("hurwitz_left", "hurwitz_right", "rotate", "stabilize")
+MOVES = ("hurwitz_left", "hurwitz_right", "rotate", "stabilize",
+         "certify_loose")
 MAX_STEPS = 8
 
 
@@ -97,21 +110,64 @@ def check_consistent(D):
         assert [c.word for c in back.cycles] == [c.word for c in D.cycles]
 
 
+def planned_steps(D, move, position, pairing, number):
+    """The (tag, args) steps one drawn move stands for.
+
+    A certify_loose draw with an odd position certifies the drawn pair,
+    which rarely fits the rule.  With an even one it first rotates a
+    stabilization sphere S to the front and sweeps it to the back with
+    hurwitz_left, twisting each cycle it passes, so that S stands before
+    tau_S of the first cycle across the basepoint; the rule then needs
+    only that S meet the first cycle's class once.
+    """
+    k = len(D.cycles)
+    i = (position - 1) % k + 1
+    if move == "rotate":
+        return [("rotate", ())]
+    if move == "stabilize":
+        rank = D.fiber.lattice.rank
+        return [("stabilize", (pairing[:rank], "h%d" % number))]
+    spheres = [j for j, c in enumerate(D.cycles) if c.stabilization_sphere]
+    if move != "certify_loose" or position % 2 or not spheres:
+        return [(move, (i,))]
+    j = spheres[position % len(spheres)]
+    return ([("rotate", ())] * j
+            + [("hurwitz_left", (p,)) for p in range(1, k)]
+            + [("certify_loose", (k,))])
+
+
+def check_shadow(state, D):
+    """The shadow's replay agrees with the engine's datum."""
+    gram, n = state["gram"], state["n"]
+    assert [tuple(row) for row in gram] == list(D.fiber.lattice.gram)
+    assert state["labels"] == list(D.fiber.basis_labels)
+    assert len(state["cycles"]) == len(D.cycles)
+    for shadow, cyc in zip(state["cycles"], D.cycles):
+        assert certify._eval(gram, n, shadow.letters, shadow.base) \
+            == cyc.klass.coords
+        assert (shadow.stab, shadow.loose) == (cyc.stabilization_sphere,
+                                               cyc.loose_certified)
+
+
 @settings(max_examples=60, deadline=None)
 @given(scenarios())
 def test_random_moves_keep_engine_consistent(scenario):
     m, n, cycles, steps = scenario
     D = build(m, n, cycles)
     check_consistent(D)
-    for number, (move, position, pairing) in enumerate(steps):
-        k = len(D.cycles)
-        if move == "rotate":
-            D = rotate(D)
-        elif move == "stabilize":
-            rank = D.fiber.lattice.rank
-            D = stabilize(D, pairing[:rank], "h%d" % number)
-        elif move == "hurwitz_left":
-            D = hurwitz_left(D, (position - 1) % k + 1)
-        else:
-            D = hurwitz_right(D, (position - 1) % k + 1)
-        check_consistent(D)
+    state = certify._shadow_state(D)
+    check_shadow(state, D)
+    for number, drawn in enumerate(steps):
+        for step in planned_steps(D, *drawn, number):
+            try:
+                D = certify.apply_step(D, step)
+            except certify.CertifyError:
+                # a rejected certification: the shadow rejects it too
+                # and, like the engine, keeps its state
+                with pytest.raises(certify.CertifyError):
+                    certify._sh_apply(state, step)
+                check_shadow(state, D)
+                continue
+            certify._sh_apply(state, step)
+            check_consistent(D)
+            check_shadow(state, D)
