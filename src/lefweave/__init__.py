@@ -15,3 +15,16 @@ class LefweaveError(ValueError):
     def __init__(self, message, **context):
         super().__init__(message)
         self.context = dict(context)
+
+
+class Immutable:
+    """Base of the value types: slotted, and closed to attribute assignment.
+
+    Constructors and the engine's own caches write through
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)

@@ -44,8 +44,12 @@ rays; equal arcs have equal coords, but the sequence is what decides
 equality, since mirror windings can share all counts. The triple's word
 can grow exponentially in the number of sigma-letters.
 
-Classes. `arc_to_class` evaluates the twist word on the base edge's class
-in the A_{m-1} lattice. `odd_class` reads the class off the canonical
+Classes. `arc_to_class` applies the arc's sigma-letters to the base
+edge's class in the A_{m-1} lattice: the half-twist sigma_k acts on the
+fiber as the Dehn twist about the sphere e_k of the standard edge k
+(Seidel, Fukaya categories and Picard-Lefschetz theory, EMS 2008), and
+naturality, tau_{phi(e)} = phi tau_e phi^{-1}, makes this the class the
+half-twist history gives. `odd_class` reads the class off the canonical
 diagram itself by a sheet-tracked signed crossing count (the homology
 class of the arc's double lift, where the covering sheets swap across the
 lower rays); it applies no twist formula, so agreement of the two routes
@@ -239,10 +243,11 @@ class MatchingArc:
 
     `word` is a tuple of (arc, power) half-twist letters, leftmost
     outermost, applied to the standard edge with index `base_index`.
-    Two arcs with the same system size, base edge and word have the same
-    half-twist history, so they are equal outright; any other pair is
-    compared, and every arc is hashed, by `key`, its Dynnikov
-    coordinates, built from its sigma-letters on first use. The canonical
+    Two arcs with the same system size, base edge and reduced
+    sigma-letters are the same mapping class applied to the same edge,
+    so they are equal outright; any other pair is compared, and every
+    arc is hashed, by `key`, its Dynnikov coordinates, built from its
+    sigma-letters on first use. The canonical
     form is the key's oracle, reached only through `endpoints`, `coords`,
     `odd_class` and `geometric_intersection`.
     """
@@ -254,8 +259,6 @@ class MatchingArc:
         self._gens = None
         self._key = None
         self._canon = None
-        # (lattice, unnormalized class) once arc_to_class has needed it
-        self._class = None
 
     def _mapping_gens(self):
         if self._gens is None:
@@ -309,10 +312,11 @@ class MatchingArc:
             return NotImplemented
         if self.system.m != other.system.m:
             return False
-        # the same history is the same mapping class applied to the same
-        # edge; inner arcs in the words compare by this same rule
+        # the same sigma-letters are the same mapping class applied to
+        # the same edge
         if self is other or (self.base_index == other.base_index
-                             and self.word == other.word):
+                             and self._mapping_gens()
+                             == other._mapping_gens()):
             return True
         return self.key == other.key
 
@@ -420,43 +424,17 @@ def _normalize_sign(coords):
 
 
 def arc_to_class(system, arc):
-    """Lattice class of the arc, by evaluating its half-twist word.
+    """Lattice class of the arc: the base edge's class under the Dehn
+    twists about e_k of its sigma-letters (k, s), rightmost first.
 
     The sign of a matching sphere's class is a choice; the first nonzero
     coordinate is normalized positive.
     """
-    v = _raw_class(system, arc)
-    return SphereClass(_normalize_sign(v.coords))
-
-
-def _raw_class(system, arc):
-    """The arc's unnormalized class, kept on each arc it needs.
-
-    Each arc of the history is evaluated once, inner arcs first, by an
-    explicit stack: re-evaluating every inner arc at each use made the
-    cost exponential in the nesting.
-    """
     L = system.lattice
-
-    def known(a):
-        return a._class is not None and a._class[0] is L
-
-    stack = [arc]
-    while stack:
-        top = stack[-1]
-        if known(top):
-            stack.pop()
-            continue
-        todo = [inner for inner, _ in top.word if not known(inner)]
-        if todo:
-            stack.extend(todo)
-            continue
-        v = L.basis_sphere(top.base_index)
-        for inner, power in reversed(top.word):
-            v = twist_power(L, inner._class[1], v, power)
-        top._class = (L, v)
-        stack.pop()
-    return arc._class[1]
+    v = L.basis_sphere(arc.base_index)
+    for k, s in reversed(arc._mapping_gens()):
+        v = twist_power(L, L.basis_sphere(k), v, s)
+    return SphereClass(_normalize_sign(v.coords))
 
 
 def induced_word(system, arc):

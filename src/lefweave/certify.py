@@ -21,7 +21,7 @@ import functools
 from collections import namedtuple
 
 from . import LefweaveError
-from .lattice import TwistWord, evaluate_word, pairing
+from .lattice import pairing
 from .presentation import (
     LefschetzDatum,
     VanishingCycle,
@@ -79,16 +79,17 @@ def rule_loose_pair(D, i):
         raise CertifyError(
             "outermost letter is not a single twist about the sphere",
             i=i, exponent=exp)
-    rest = TwistWord(follow.word.letters[1:], follow.word.base)
-    lattice = D.fiber.lattice
-    hits = pairing(lattice, sphere, evaluate_word(lattice, rest))
+    # tau_S is an isometry fixing S up to sign, so S meets the class of
+    # the rest of the word as often as it meets tau_S of it, the class
+    # the follower already holds
+    hits = pairing(D.fiber.lattice, sphere, follow.klass)
     if abs(hits) != 1:
         raise CertifyError(
             "sphere must meet the underlying class exactly once",
             i=i, pairing=hits)
     cycles = list(D.cycles)
-    cycles[b] = VanishingCycle(
-        lattice, follow.word, arc=follow.arc,
+    cycles[b] = VanishingCycle._derived(
+        follow.word, follow.klass, arc=follow.arc,
         stabilization_sphere=follow.stabilization_sphere,
         loose_certified=True)
     return LefschetzDatum(D.fiber, cycles, sf_spheres=D.sf_spheres)
@@ -314,8 +315,7 @@ def _step_table(k, rank, label):
 
     Canonical order: rotate, then hurwitz_left, hurwitz_right and
     certify_loose by ascending position, then fiber stabilizations
-    along the basis-disk catalogue.  So for k >= 2, certifying the
-    pair at position i is entry 2k + i.
+    along the basis-disk catalogue.
     """
     steps = []
     if k >= 2:
@@ -355,12 +355,13 @@ def _first_loose_child(frontier):
         # and only when the cycle before it is a stabilization sphere
         if not datum.cycles[b - 1].stabilization_sphere:
             continue
-        step, certs = _child_steps(datum)[2 * k + (b or k)]
+        step = ("certify_loose", (b or k,))
         try:
             child = apply_step(datum, step)
         except LefweaveError:
             continue
-        return Certificate(moves + (step,), summary + certs,
+        return Certificate(moves + (step,),
+                           summary + step_certifications(step, k),
                            terminal_claim(child))
     return None
 

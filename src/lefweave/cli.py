@@ -70,10 +70,12 @@ def _build_cycle(fiber, ast):
     except KeyError:
         raise CliError("unknown catalogue arc %r" % label,
                        known=sorted(system.catalogue))
-    if arc.endpoints != tuple(sorted((i, j))):
+    # catalogue arcs are the standard edges
+    endpoints = (arc.base_index, arc.base_index + 1)
+    if endpoints != tuple(sorted((i, j))):
         raise CliError(
             "catalogue arc %r joins points %s, not (%d, %d)"
-            % (label, arc.endpoints, i, j))
+            % (label, endpoints, i, j))
     return VanishingCycle(fiber.lattice, induced_word(system, arc), arc=arc)
 
 

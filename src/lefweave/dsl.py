@@ -25,7 +25,7 @@ import difflib
 import re
 from collections import namedtuple
 
-from . import LefweaveError
+from . import Immutable, LefweaveError
 from .certify import STEPS, step_text
 from .presets import PRESETS
 
@@ -86,7 +86,7 @@ def _suggest(name, candidates):
     return ""
 
 
-class Workspace:
+class Workspace(Immutable):
     """Parsed definitions and commands, in source order.
 
     ``definitions`` holds (kind, name, payload) triples and ``commands``
@@ -102,9 +102,6 @@ class Workspace:
         object.__setattr__(self, "commands", tuple(commands))
         object.__setattr__(self, "def_lines", tuple(def_lines))
         object.__setattr__(self, "cmd_lines", tuple(cmd_lines))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Workspace is immutable")
 
     def _key(self):
         # a cycle AST nests one tuple per twist letter; flat letters keep

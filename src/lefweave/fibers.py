@@ -15,16 +15,17 @@ spheres from added ones.
 
 import weakref
 
-from . import LefweaveError
+from . import Immutable, LefweaveError
 from .arcs import ArcSystem
-from .lattice import IntLattice, plumbing_gram, sphere_self_pairing
+from .lattice import IntLattice, pairing_sign, plumbing_gram, \
+    sphere_self_pairing
 
 
 class FiberError(LefweaveError):
     """Raised for malformed trees, pairings, or labels."""
 
 
-class PlumbingTree:
+class PlumbingTree(Immutable):
     """A labeled forest with signed edges.
 
     Edges are (u, v) or (u, v, sign) with sign +-1, defaulting to +1.
@@ -71,9 +72,6 @@ class PlumbingTree:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(normalized))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PlumbingTree is immutable")
-
     @classmethod
     def path(cls, k, prefix="v"):
         """The A_k chain: k vertices joined in a row."""
@@ -86,7 +84,7 @@ class PlumbingTree:
                                          list(self.edges))
 
 
-class FiberModel:
+class FiberModel(Immutable):
     """An intersection lattice with named basis spheres.
 
     stabilizing_spheres maps each added handle's label to the pairing
@@ -130,9 +128,6 @@ class FiberModel:
         object.__setattr__(self, "_handle_cycle", None)
         # (pairings, label) -> child fiber, see attach_stabilizing_handle
         object.__setattr__(self, "_children", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberModel is immutable")
 
     def basis_sphere(self, label):
         """The SphereClass of a named basis vector."""
@@ -190,11 +185,11 @@ def attach_stabilizing_handle(fiber, pairings, label):
         return model, model._handle
     n = fiber.lattice.n
     old = fiber.lattice.gram
-    flip = 1 if n % 2 == 0 else -1
+    flip = pairing_sign(n)
     gram = tuple(
         old[i] + (flip * pairings[i],) for i in range(rank)
     ) + (pairings + (sphere_self_pairing(n),),)
-    # a valid gram bordered this way keeps its symmetry: no re-check
+    # a valid gram bordered by the sign rule stays valid: no re-check
     lattice = IntLattice._of(gram, n)
     stab = dict(fiber.stabilizing_spheres)
     stab[label] = pairings

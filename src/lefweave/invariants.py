@@ -15,7 +15,8 @@ columns are a basis of ker d, it is
     Q = K^T . Q2 . K / 2
 
 where Q2 is the doubled k x k thimble matrix: Q2[i][j] = <klass V_i,
-klass V_j> for i < j, Q2[j][i] = (-1)^(n+1) Q2[i][j], and every diagonal
+klass V_j> for i < j, Q2[j][i] = pairing_sign(n + 1) Q2[i][j] (the
+thimbles live in degree n + 1), and every diagonal
 entry is the self-pairing of an (n+1)-sphere.  That diagonal is the
 matching-sphere normalization: a cycle pair (V, V) presents D*S^(n+1),
 whose generator t_1 - t_2 must self-pair as the sphere S^(n+1) does.
@@ -25,7 +26,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import LefweaveError
-from .lattice import pairing, smith_normal_form, sphere_self_pairing
+from .lattice import pairing, pairing_sign, smith_normal_form, \
+    sphere_self_pairing
 
 TotalSpaceInvariants = namedtuple(
     "TotalSpaceInvariants",
@@ -114,7 +116,7 @@ def middle_intersection_form(D):
     """The intersection matrix K^T . Q2 . K / 2 on a basis K of ker d.
 
     Q2 is the doubled thimble matrix: <K_i, K_j> above the diagonal,
-    (-1)^(n+1) times that below it, and sphere_self_pairing(n + 1) on
+    pairing_sign(n + 1) times that below it, and sphere_self_pairing(n + 1) on
     the diagonal.  Hurwitz moves act on thimbles by elementary
     unimodular matrices, which preserves this Q and no other scaling
     (not yet at n = 1 mod 4: there the diagonal is -2, but odd-n twists
@@ -131,7 +133,7 @@ def _middle_form(D, kernel):
     lattice = D.fiber.lattice
     klasses = [cyc.klass for cyc in D.cycles]
     diag = sphere_self_pairing(n + 1)
-    flip = (-1) ** (n + 1)
+    flip = pairing_sign(n + 1)
     k = len(klasses)
     pair = {}
     for i in range(k):
@@ -216,7 +218,7 @@ def total_space_invariants(D):
     divisors, kernel = _divisors_and_kernel(D)
     base = _homology(D, divisors)
     form = _middle_form(D, kernel)
-    symmetric = D.n % 2 == 1
+    symmetric = pairing_sign(D.n + 1) == 1
     return base._replace(
         middle_form=form,
         middle_symmetry="symmetric" if symmetric else "antisymmetric",

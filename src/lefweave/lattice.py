@@ -2,9 +2,10 @@
 
 Conventions, fixed once here and relied on everywhere else:
 
-- ``n`` is half the fiber dimension; the pairing on the middle homology of a
-  2n-dimensional fiber is symmetric for n even and antisymmetric (zero
-  diagonal) for n odd.
+- ``n`` is half the fiber dimension.  The pairing sign rule: on middle
+  homology in degree n, <y,x> = pairing_sign(n) <x,y>, which is +1 for
+  n even (symmetric) and -1 for n odd (antisymmetric, zero diagonal).
+  Every Gram matrix, bordered handle row and thimble matrix reads it.
 - A class usable as a twist center must have self-pairing
   (-1)^{n(n+1)/2} * 2 when n is even (so -2 at n=2, +2 at n=4); for n odd the
   self-pairing is automatically 0.
@@ -17,11 +18,16 @@ Conventions, fixed once here and relied on everywhere else:
 All arithmetic is plain Python integers; values are immutable tuples.
 """
 
-from . import LefweaveError
+from . import Immutable, LefweaveError
 
 
 class LatticeError(LefweaveError):
     """Structured error for invalid lattice inputs."""
+
+
+def pairing_sign(n):
+    """The s with <y,x> = s <x,y> in degree n: +1 for n even, -1 for n odd."""
+    return 1 if n % 2 == 0 else -1
 
 
 def sphere_self_pairing(n):
@@ -34,18 +40,16 @@ def sphere_self_pairing(n):
 def plumbing_gram(rank, edges, n):
     """Gram rows of ``rank`` spheres plumbed along (i, j, sign) edges.
 
-    Indices are 0-based.  Each edge is one transverse point: symmetric
-    for n even, oriented by ascending index for n odd.
+    Indices are 0-based.  Each edge is one transverse point, oriented by
+    ascending index; the lower triangle follows by the sign rule.
     """
     diag = sphere_self_pairing(n)
+    flip = pairing_sign(n)
     gram = [[diag if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j, sign in edges:
-        if n % 2 == 0:
-            gram[i][j] = gram[j][i] = sign
-        else:
-            lo, hi = min(i, j), max(i, j)
-            gram[lo][hi] = sign
-            gram[hi][lo] = -sign
+        lo, hi = min(i, j), max(i, j)
+        gram[lo][hi] = sign
+        gram[hi][lo] = flip * sign
     return tuple(tuple(row) for row in gram)
 
 
@@ -53,14 +57,14 @@ def _as_int_rows(rows):
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-class IntLattice:
+class IntLattice(Immutable):
     """A finitely generated free abelian group with an integer Gram form.
 
     ``_centers`` holds the coordinates of every twist center this
     lattice has accepted, so each is checked once (see twist_power).
     """
 
-    __slots__ = ("gram", "n", "rank", "_hash", "_centers")
+    __slots__ = ("gram", "n", "rank", "_centers")
 
     def __init__(self, gram, n):
         gram = _as_int_rows(gram)
@@ -69,29 +73,18 @@ class IntLattice:
             raise LatticeError("gram matrix must be square", rank=rank)
         if n < 1:
             raise LatticeError("n must be a positive integer", n=n)
-        if n % 2 == 0:
-            for i in range(rank):
-                for j in range(rank):
-                    if gram[i][j] != gram[j][i]:
-                        raise LatticeError(
-                            "gram must be symmetric for even n", i=i, j=j
-                        )
-        else:
-            for i in range(rank):
-                if gram[i][i] != 0:
+        flip = pairing_sign(n)
+        for i in range(rank):
+            for j in range(rank):
+                if gram[j][i] != flip * gram[i][j]:
                     raise LatticeError(
-                        "gram diagonal must vanish for odd n", i=i
-                    )
-                for j in range(rank):
-                    if gram[i][j] != -gram[j][i]:
-                        raise LatticeError(
-                            "gram must be antisymmetric for odd n", i=i, j=j
-                        )
+                        "gram breaks the sign rule <y,x> = %+d <x,y> for n=%d"
+                        % (flip, n), i=i, j=j)
         self._fill(gram, int(n))
 
     @classmethod
     def _of(cls, gram, n):
-        """Build from int rows that already have the parity's symmetry."""
+        """Build from int rows that already obey the sign rule."""
         self = object.__new__(cls)
         self._fill(gram, n)
         return self
@@ -100,11 +93,7 @@ class IntLattice:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rank", len(gram))
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_centers", set())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntLattice is immutable")
 
     def basis_sphere(self, i, label=None):
         """The i-th basis class, 1-based to match the e1, e2, ... notation."""
@@ -121,23 +110,20 @@ class IntLattice:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.gram, self.n)))
-        return self._hash
+        return hash((self.gram, self.n))
 
     def __repr__(self):
         return "IntLattice(rank=%d, n=%d)" % (self.rank, self.n)
 
 
-class SphereClass:
+class SphereClass(Immutable):
     """An integer homology class; equality and hashing use coordinates only."""
 
-    __slots__ = ("coords", "label", "_hash")
+    __slots__ = ("coords", "label")
 
     def __init__(self, coords, label=None):
         object.__setattr__(self, "coords", tuple(int(c) for c in coords))
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _of(cls, coords, label=None):
@@ -145,19 +131,13 @@ class SphereClass:
         self = object.__new__(cls)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_hash", None)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SphereClass is immutable")
 
     def __eq__(self, other):
         return isinstance(other, SphereClass) and self.coords == other.coords
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.coords))
-        return self._hash
+        return hash(self.coords)
 
     def __repr__(self):
         if self.label:
@@ -165,7 +145,7 @@ class SphereClass:
         return "SphereClass(%r)" % (self.coords,)
 
 
-class TwistWord:
+class TwistWord(Immutable):
     """A symbolic word of twists applied to a base class.
 
     ``letters`` is a sequence of (center, exponent) pairs, leftmost letter
@@ -175,7 +155,7 @@ class TwistWord:
     applied.
     """
 
-    __slots__ = ("letters", "base", "_hash")
+    __slots__ = ("letters", "base")
 
     def __init__(self, letters, base):
         reduced = []
@@ -192,7 +172,6 @@ class TwistWord:
                 reduced.append((center, exp))
         object.__setattr__(self, "letters", tuple(reduced))
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _of(cls, letters, base):
@@ -200,11 +179,7 @@ class TwistWord:
         self = object.__new__(cls)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_hash", None)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistWord is immutable")
 
     def is_trivial(self):
         return not self.letters
@@ -234,9 +209,7 @@ class TwistWord:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.letters, self.base)))
-        return self._hash
+        return hash((self.letters, self.base))
 
     def __repr__(self):
         parts = ["tw(%r)^%d" % (c.coords, e) for c, e in self.letters]

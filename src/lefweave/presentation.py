@@ -10,7 +10,7 @@ positions are 1-based and cyclic: position i acts on the adjacent pair
 (i, i+1), with i = k wrapping around to pair (k, 1).
 """
 
-from . import LefweaveError
+from . import Immutable, LefweaveError
 from .arcs import apply_half_twist
 from .fibers import FiberModel, attach_stabilizing_handle
 from .lattice import IntLattice, SphereClass, TwistWord, evaluate_word, \
@@ -21,7 +21,7 @@ class MoveError(LefweaveError):
     """Raised for invalid positions, parities, or broken preconditions."""
 
 
-class VanishingCycle:
+class VanishingCycle(Immutable):
     """A vanishing cycle: symbolic twist word, cached class, flags.
 
     Invariant: ``klass == evaluate_word(lattice, word)``.  The public
@@ -60,9 +60,6 @@ class VanishingCycle:
         object.__setattr__(self, "_hash", None)
         # this cycle embedded by (0, 1), shared by every stabilize child
         object.__setattr__(self, "_grown", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VanishingCycle is immutable")
 
     def _key(self):
         return (self.word, self.arc, self.stabilization_sphere,
@@ -103,7 +100,7 @@ def trivial_cycle(fiber, klass, arc=None, stabilization_sphere=False,
                           loose_certified=loose_certified)
 
 
-class LefschetzDatum:
+class LefschetzDatum(Immutable):
     """An immutable (fiber; cycles) pair with optional handle provenance.
 
     ``sf_spheres`` records, as (cycle position, handle label) pairs, which
@@ -125,9 +122,6 @@ class LefschetzDatum:
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "sf_spheres", tuple(sf_spheres))
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LefschetzDatum is immutable")
 
     @property
     def n(self):
@@ -265,14 +259,14 @@ def stabilize(D, pairings, label):
     return LefschetzDatum(fiber, cycles)
 
 
-def subflexibilize(D, disk_pairings, labels=None):
+def subflexibilize(D, disk_pairings):
     """Re-twist each cycle V_i to tau^2_{S_i} V_i about a fresh handle.
 
     ``disk_pairings`` gives, per cycle, the intersection vector of the
     attaching disk with the original basis (or None to skip that cycle).
     Each disk must meet its own cycle exactly once; the new spheres join
-    the fiber but not the cycle list.  Without ``labels``, the handle at
-    position i is labelled s<i>, primed until free.
+    the fiber but not the cycle list.  The handle at position i is
+    labelled s<i>, primed until free.
     """
     k = len(D.cycles)
     disk_pairings = list(disk_pairings)
@@ -292,8 +286,7 @@ def subflexibilize(D, disk_pairings, labels=None):
             raise MoveError(
                 "pairing vector length must equal the original rank",
                 i=pos, expected=base_rank, got=len(p))
-        label = (labels[pos - 1] if labels is not None
-                 else _fresh_label("s%d" % pos, fiber.basis_labels))
+        label = _fresh_label("s%d" % pos, fiber.basis_labels)
         fiber, sphere = attach_stabilizing_handle(
             fiber, p + (0,) * attached, label)
         attached += 1

@@ -18,6 +18,8 @@ import signal
 import time
 import tracemalloc
 
+import pytest
+
 from lefweave.arcs import ArcSystem, apply_half_twist, arc_to_class, \
     induced_word, standard_arc
 from lefweave.certify import search_certificate
@@ -149,6 +151,18 @@ def normalized(v):
     return SphereClass(tuple(c if first > 0 else -c for c in v.coords))
 
 
+@pytest.mark.parametrize("seed", [None, 40])
+def test_equal_40_move_histories_built_apart_compare_quickly(seed):
+    # equality once recursed through the inner arcs of both words, for
+    # tens of seconds on the all-left chain; it compares flat sigma-letters
+    first = hurwitz_chain(ArcSystem(3), 40, seed)
+    second = hurwitz_chain(ArcSystem(3), 40, seed)
+    assert all(a is not b for a, b in zip(first, second))
+    with wall_clock_cap(2):
+        assert first == second
+        assert [hash(arc) for arc in first] == [hash(arc) for arc in second]
+
+
 def test_induced_word_of_a_40_move_chain_is_quick():
     system = ArcSystem(3)
     arcs = hurwitz_chain(system, 40)
@@ -163,8 +177,7 @@ def test_induced_word_matches_the_recursive_evaluation():
     for moves in range(13):
         for seed in (None, moves):
             arcs = hurwitz_chain(ArcSystem(3), moves, seed)
-            # the class kept on an arc belongs to one lattice: asking
-            # in another system must not reuse it
+            # the same arcs, asked for their classes in two lattices
             for system in (ArcSystem(3, n=2), ArcSystem(3, n=3)):
                 for arc in arcs:
                     expected = TwistWord(

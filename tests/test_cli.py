@@ -132,6 +132,17 @@ def test_search_hit_and_miss(tmp_path, capsys):
     (entry,) = json.loads(out)["results"]
     assert entry["found"] is False and entry["certificate"] is None
 
+    # a bare search takes its bounds from --depth and --width
+    for text, bounds, found in ((hit, (0, 1), True), (miss, (1, 7), False)):
+        bare = text.rsplit(" depth=", 1)[0] + "\n"
+        argv = ["run", write(tmp_path, bare),
+                "--depth", str(bounds[0]), "--width", str(bounds[1])]
+        status, out, err = run_main(capsys, argv)
+        assert status == (0 if found else 1) and err == ""
+        (entry,) = json.loads(out)["results"]
+        assert (entry["depth"], entry["width"]) == bounds
+        assert entry["found"] is found
+
 
 def test_runtime_error_exits_2(tmp_path, capsys):
     text = (
@@ -246,12 +257,12 @@ def test_format_move_all_tags():
 
 
 def test_run_catalogue_arc_matches_basis_twin(tmp_path):
-    def run_file(name, cycle):
+    def run_file(name, cycle, fiber="ak 4"):
         path = tmp_path / name
         path.write_text(
-            "fiber a3 = ak 4 n=2\n"
+            "fiber a3 = %s n=2\n"
             "datum A over a3 = [%s, e2]\n"
-            "print invariants A\n" % cycle, encoding="utf-8")
+            "print invariants A\n" % (fiber, cycle), encoding="utf-8")
         return subprocess.run(
             [sys.executable, "-m", "lefweave.cli", "run", str(path)],
             cwd=REPO, capture_output=True)
@@ -263,10 +274,18 @@ def test_run_catalogue_arc_matches_basis_twin(tmp_path):
     assert json.loads(arc.stdout)["results"] == \
         json.loads(twin.stdout)["results"]
 
-    wrong = run_file("wrong.lef", "arc(1,3; a1)")
-    assert wrong.returncode == 2 and wrong.stdout == b""
-    assert b"joins points (1, 2), not (1, 3)" in wrong.stderr
-    assert b"Traceback" not in wrong.stderr
+    for name, cycle, fiber, message in (
+            ("wrong.lef", "arc(1,3; a1)", "ak 4",
+             b"joins points (1, 2), not (1, 3)"),
+            ("plumbing.lef", "arc(1,2; a1)", "plumbing a3",
+             b"no arc system"),
+            ("unknown.lef", "arc(1,2; a9)", "ak 4",
+             b"unknown catalogue arc 'a9'")):
+        bad = run_file(name, cycle, fiber)
+        assert bad.returncode == 2 and bad.stdout == b""
+        assert message in bad.stderr
+        assert b"Traceback" not in bad.stderr
+        assert bad.stderr.count(b"\n") == 1, bad.stderr
 
 
 def test_second_subflex_takes_a_primed_label(tmp_path, capsys):

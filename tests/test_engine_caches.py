@@ -24,6 +24,7 @@ from lefweave.fibers import FiberError, PlumbingTree, ak_matching_fiber, \
     attach_stabilizing_handle, plumbing_lattice
 from lefweave.lattice import IntLattice, LatticeError, SphereClass, \
     TwistWord, evaluate_word, twist_power
+from lefweave.dsl import parse
 from lefweave.presentation import LefschetzDatum, MoveError, \
     VanishingCycle, hurwitz_left, rotate, stabilize, trivial_cycle
 
@@ -171,3 +172,24 @@ def test_search_only_tries_certify_behind_a_sphere(monkeypatch):
     cert = search_certificate(D, 3, 30)
     assert cert.moves == (("hurwitz_left", (1,)), ("certify_loose", (2,)))
     assert leads and all(leads)
+
+
+def test_value_types_reject_attribute_assignment():
+    # one shared guard: the caches above are written past it, and no
+    # caller can set an attribute or find a __dict__ to set it in
+    fiber = ak_matching_fiber(3, 2)
+    cycle = trivial_cycle(fiber, X)
+    values = [
+        A2, X, TwistWord((), X), cycle, LefschetzDatum(fiber, [cycle]),
+        PlumbingTree(["a"]), fiber, parse("fiber a = ak 3 n=2\n"),
+    ]
+    names = [type(value).__name__ for value in values]
+    assert names == ["IntLattice", "SphereClass", "TwistWord",
+                     "VanishingCycle", "LefschetzDatum", "PlumbingTree",
+                     "FiberModel", "Workspace"]
+    for name, value in zip(names, values):
+        assert not hasattr(value, "__dict__"), name
+        for attr in ("label", "extra"):
+            with pytest.raises(AttributeError) as err:
+                setattr(value, attr, None)
+            assert str(err.value) == "%s is immutable" % name

@@ -334,3 +334,37 @@ def test_middle_form_move_stability_frozen():
     b = total_space_invariants(moved)
     assert a.form_invariants == b.form_invariants == (2, 3, 2)
     assert middle_intersection_form(D) is not None
+
+
+def _sympy_signature(sympy, matrix):
+    """Signature from the characteristic polynomial: its roots are all
+    real, so Descartes' sign changes count them exactly."""
+    x = sympy.Symbol("x")
+    poly = sympy.Matrix(matrix).charpoly(x)
+
+    def changes(coeffs):
+        signs = [c > 0 for c in coeffs if c != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    coeffs = poly.all_coeffs()
+    mirrored = [c if (len(coeffs) - 1 - i) % 2 == 0 else -c
+                for i, c in enumerate(coeffs)]
+    return changes(coeffs) - changes(mirrored)
+
+
+def test_signature_repairs_zero_pivots():
+    # a zero diagonal entry with a nonzero row sends _signature through
+    # its pivot repair; the hyperbolic plane is the smallest such form
+    assert form_invariants(((0, 1), (1, 0)), True) == (2, 1, 0)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(37)
+    for _ in range(400):
+        size = rng.randint(2, 5)
+        M = [[0] * size for _ in range(size)]
+        for i in range(size):
+            M[i][i] = rng.choice((0, 0, rng.randint(-3, 3)))
+            for j in range(i + 1, size):
+                M[i][j] = M[j][i] = rng.randint(-3, 3)
+        rank, _, signature = form_invariants(M, True)
+        assert rank == sympy.Matrix(M).rank()
+        assert signature == _sympy_signature(sympy, M), M
