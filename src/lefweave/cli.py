@@ -310,6 +310,8 @@ def main(argv=None):
         print("lefweave: %s: %s" % (args.file, err), file=sys.stderr)
     except LefweaveError as err:
         print("lefweave: %s: %s" % (args.file, err), file=sys.stderr)
+    except MemoryError:
+        print("lefweave: %s: out of memory" % args.file, file=sys.stderr)
     return 2
 
 

@@ -205,10 +205,8 @@ def ak_matching_fiber(m, n):
     """The A_{m-1} chain fiber with its m-point matching arc system."""
     if m < 2:
         raise FiberError("a matching fiber needs at least 2 points", m=m)
-    tree = PlumbingTree.path(m - 1, prefix="e")
-    base = plumbing_lattice(tree, n)
+    if n < 1:
+        raise FiberError("fiber dimension must be positive", n=n)
     system = ArcSystem(m, n)
-    if system.lattice != base.lattice:
-        raise FiberError("arc system and plumbing disagree", m=m, n=n)
-    return FiberModel(base.lattice, base.basis_labels,
-                      arc_system=system)
+    labels = ["e%d" % k for k in range(1, m)]
+    return FiberModel(system.lattice, labels, arc_system=system)

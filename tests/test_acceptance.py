@@ -18,7 +18,6 @@ from lefweave.arcs import (
     apply_half_twist,
     arc_to_class,
     arcs_isotopic,
-    odd_class,
     standard_arc,
 )
 from lefweave.certify import (
@@ -43,6 +42,8 @@ from lefweave.presentation import (
     trivial_cycle,
 )
 from lefweave import presets
+
+from arc_oracle import odd_class
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES = ("x1", "x2", "sf_t3s")

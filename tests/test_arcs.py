@@ -1,4 +1,4 @@
-"""Tests for the arc engine: canonical forms, half-twist actions, classes.
+"""Tests for the arc engine: isotopy keys, half-twist actions, classes.
 
 Ground-truth cases frozen before implementation:
 - t_a(a) = a for every standard arc (the twist fixes its own arc).
@@ -9,12 +9,17 @@ Ground-truth cases frozen before implementation:
 - t_2^{-1}(std_1) and t_2(std_1) are distinct mirror routes.
 - braid relations hold exhaustively for m <= 5; distant twists commute.
 
-The homological cross-check (`odd_class`) computes classes from the reduced
-crossing diagram alone via sheet-tracked signed counts in the branched
-double cover; it never applies a twist formula, which makes the commuting
-square against the lattice engine a genuine two-route test.
+Endpoints, crossing counts, geometric intersection and canonical forms
+come from the crossing-diagram oracle in tests/arc_oracle.py, which shares
+no code with the engine's Dynnikov key. Its homological cross-check
+(`odd_class`) computes classes from the reduced crossing diagram alone via
+sheet-tracked signed counts in the branched double cover; it never applies
+a twist formula, which makes the commuting square against the lattice
+engine a genuine two-route test.
 """
 
+import ast
+import pathlib
 import random
 
 import pytest
@@ -27,10 +32,17 @@ from lefweave.arcs import (
     apply_half_twist,
     arc_to_class,
     arcs_isotopic,
-    geometric_intersection,
     standard_arc,
 )
 from lefweave.lattice import IntLattice, dehn_twist, pairing, twist_power
+
+from arc_oracle import (
+    canonical,
+    coords,
+    endpoints,
+    geometric_intersection,
+    odd_class,
+)
 
 
 def twist_by_word(sys, word, arc):
@@ -40,11 +52,34 @@ def twist_by_word(sys, word, arc):
     return arc
 
 
+def test_oracle_stays_independent_of_the_engine():
+    """The diagram oracle takes from lefweave only SphereClass and
+    ArcError, and never reads the key or the lattice twist route."""
+    path = pathlib.Path(__file__).with_name("arc_oracle.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "lefweave"
+                           for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "lefweave":
+                imported |= {alias.name for alias in node.names}
+    assert imported == {"SphereClass", "ArcError"}
+    engine = {"_dynnikov_key", "arc_to_class", "twist_power"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            assert node.id not in engine, node.id
+        elif isinstance(node, ast.Attribute):
+            # MatchingArc.key and its memo
+            assert node.attr not in engine | {"key", "_key"}, node.attr
+
+
 def test_standard_arc_shape():
     sys = ArcSystem(4, n=2)
     a1 = standard_arc(sys, 1)
-    assert a1.endpoints == (1, 2)
-    assert a1.coords == (0,) * 7  # 2m-1 entries, all zero for an edge arc
+    assert endpoints(a1) == (1, 2)
+    assert coords(a1) == (0,) * 7  # 2m-1 entries, all zero for an edge arc
     with pytest.raises(ArcError):
         standard_arc(sys, 4)
     with pytest.raises(ArcError):
@@ -63,12 +98,12 @@ def test_t2_of_std1_frozen():
     sys = ArcSystem(3, n=2)
     a1, a2 = standard_arc(sys, 1), standard_arc(sys, 2)
     b = apply_half_twist(sys, a2, a1)
-    assert set(b.endpoints) == {1, 3}
+    assert set(endpoints(b)) == {1, 3}
     # class is +-(e1+e2); the sign normalization makes it (1, 1)
     assert arc_to_class(sys, b).coords == (1, 1)
     # mirror route differs
     binv = apply_half_twist(sys, a2, a1, power=-1)
-    assert set(binv.endpoints) == {1, 3}
+    assert set(endpoints(binv)) == {1, 3}
     assert not arcs_isotopic(sys, b, binv)
 
 
@@ -77,7 +112,7 @@ def test_squared_twist_fragility_gap():
     a1, a2 = standard_arc(sys, 1), standard_arc(sys, 2)
     b = twist_by_word(sys, [(2, 1), (2, 1)], a1)
     assert not arcs_isotopic(sys, b, a1)
-    assert b.coords != a1.coords
+    assert coords(b) != coords(a1)
     # but the even lattice class collapses back to +-e1
     assert arc_to_class(sys, b).coords == (1, 0)
 
@@ -97,7 +132,7 @@ def test_inverse_twist_inverts():
         there = apply_half_twist(sys, g, a)
         back = apply_half_twist(sys, g, there, power=-1)
         assert arcs_isotopic(sys, back, a)
-        assert back.coords == a.coords
+        assert coords(back) == coords(a)
 
 
 def test_braid_relations_exhaustive():
@@ -134,8 +169,8 @@ def test_canonicalization_idempotent_and_word_insensitive():
         k = rng.randint(1, m - 1)
         padded = twist_by_word(sys, [(k, 1), (k, -1)], a)
         assert arcs_isotopic(sys, a, padded)
-        assert padded.coords == a.coords
-        assert padded.endpoints == a.endpoints
+        assert coords(padded) == coords(a)
+        assert endpoints(padded) == endpoints(a)
 
 
 def test_geometric_intersection_basics():
@@ -195,7 +230,7 @@ def test_pairing_bounded_by_geometric_intersection():
                 )
 
             a, b = rand_arc(), rand_arc()
-            shared = len(set(a.endpoints) & set(b.endpoints))
+            shared = len(set(endpoints(a)) & set(endpoints(b)))
             geo = geometric_intersection(sys, a, b)
             assert geo == geometric_intersection(sys, b, a)
             p = pairing(
@@ -211,8 +246,6 @@ def test_commuting_square_two_routes():
     crossing diagram; the right route applies the odd-parity twist formula
     in the lattice. The two computations share no code.
     """
-    from lefweave.arcs import odd_class
-
     rng = random.Random(21)
     for _ in range(50):
         m = rng.randint(2, 5)
@@ -234,8 +267,6 @@ def test_commuting_square_two_routes():
 
 
 def test_arc_to_class_agrees_with_diagram_route_for_odd_n():
-    from lefweave.arcs import odd_class
-
     rng = random.Random(25)
     for _ in range(40):
         m = rng.randint(2, 5)
@@ -318,7 +349,7 @@ def test_history_equality_lazy_triples_match_canonical(drawn):
                 assert hash(a) == hash(b)
             if max(len(a._mapping_gens()),
                    len(b._mapping_gens())) <= ORACLE_LETTERS:
-                assert (a == b) == (a.canonical() == b.canonical())
+                assert (a == b) == (canonical(a) == canonical(b))
                 checked += 1
     event("oracle-checked pairs: %d%%"
           % (100 * checked // len(built) ** 2 // 10 * 10))

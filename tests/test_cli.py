@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 
+from lefweave import cli
 from lefweave.certify import Certificate
 from lefweave.cli import (CliError, execute, export_json, format_move, main,
                           render)
@@ -169,6 +170,18 @@ def test_runtime_error_exits_2(tmp_path, capsys):
         assert status == 2 and out == "", argv
         assert err.startswith("lefweave: ") and err.count("\n") == 1, err
         assert fragment in err, err
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a fiber too large to build; raised, never allocated
+    def exhausted(payload):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_build_fiber", exhausted)
+    path = write(tmp_path, X1_TEXT)
+    status, out, err = run_main(capsys, ["run", path])
+    assert status == 2 and out == ""
+    assert err == "lefweave: %s: out of memory\n" % path
 
 
 def test_long_twist_words_stay_off_the_call_stack(tmp_path, capsys):

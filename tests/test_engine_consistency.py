@@ -1,14 +1,14 @@
 """Move-engine consistency: cached values agree with values rebuilt from scratch.
 
 The moves derive each new cycle's class from cached classes, extend arc
-triples incrementally and cache hashes.  Random sequences of Hurwitz,
+sigma-letters incrementally and cache hashes.  Random sequences of Hurwitz,
 rotate, stabilize and certify_loose steps, run through
 certify.apply_step on arc-carrying matching-fiber data, check after
 every step that:
 
   * every cached class equals the evaluation of its word;
-  * every arc has the canonical form of the same arc rebuilt with no
-    cached state;
+  * every arc has the canonical form (tests/arc_oracle.py) of the same
+    arc rebuilt with no cached state;
   * the datum equals, and hashes like, a datum rebuilt through the public
     constructors, which evaluate every word;
   * hurwitz_left after hurwitz_right at one position restores the
@@ -34,6 +34,8 @@ from lefweave.fibers import ak_matching_fiber
 from lefweave.lattice import SphereClass, TwistWord, evaluate_word
 from lefweave.presentation import LefschetzDatum, VanishingCycle, \
     hurwitz_left, hurwitz_right
+
+from arc_oracle import canonical
 
 MOVES = ("hurwitz_left", "hurwitz_right", "rotate", "stabilize",
          "certify_loose")
@@ -71,7 +73,7 @@ def build(m, n, cycles):
 
 
 def fresh_arc(arc):
-    """The same half-twist history with no cached gens, triple or form."""
+    """The same half-twist history with no cached sigma-letters or key."""
     return MatchingArc(arc.system, arc.base_index,
                        tuple((fresh_arc(inner), power)
                              for inner, power in arc.word))
@@ -100,7 +102,7 @@ def check_consistent(D):
     for cyc in D.cycles:
         assert cyc.klass == evaluate_word(lattice, cyc.word)
         if cyc.arc is not None:
-            assert cyc.arc.canonical() == fresh_arc(cyc.arc).canonical()
+            assert canonical(cyc.arc) == canonical(fresh_arc(cyc.arc))
     twin = rebuilt(D)
     assert D == twin and twin == D
     assert hash(D) == hash(twin)

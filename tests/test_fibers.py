@@ -214,3 +214,23 @@ def test_ak_matching_fiber():
     assert F2.lattice.gram == ((0,),)
     with pytest.raises(FiberError):
         ak_matching_fiber(1, 2)
+
+
+def test_ak_matching_fiber_agrees_with_path_plumbing():
+    # the fiber takes its lattice from the arc system alone; it must be
+    # the A_{m-1} path plumbing with labels e1..e{m-1}
+    for m in range(2, 9):
+        for n in range(1, 5):
+            F = ak_matching_fiber(m, n)
+            P = plumbing_lattice(PlumbingTree.path(m - 1, prefix="e"), n)
+            assert F.lattice == P.lattice
+            assert F.lattice is F.arc_system.lattice
+            assert F.basis_labels == P.basis_labels
+            # the key of the fiber as built through the plumbing
+            twin = FiberModel(P.lattice, P.basis_labels,
+                              arc_system=F.arc_system)
+            assert F._key == twin._key
+    for m, n, text in ((1, 2, "at least 2 points"),
+                       (3, 0, "fiber dimension must be positive")):
+        with pytest.raises(FiberError, match=text):
+            ak_matching_fiber(m, n)
