@@ -312,6 +312,9 @@ def main(argv=None):
         print("lefweave: %s: %s" % (args.file, err), file=sys.stderr)
     except MemoryError:
         print("lefweave: %s: out of memory" % args.file, file=sys.stderr)
+    except RecursionError:
+        print("lefweave: %s: recursion too deep" % args.file,
+              file=sys.stderr)
     return 2
 
 

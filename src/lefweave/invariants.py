@@ -14,12 +14,20 @@ columns are a basis of ker d, it is
 
     Q = K^T . Q2 . K / 2
 
-where Q2 is the doubled k x k thimble matrix: Q2[i][j] = <klass V_i,
-klass V_j> for i < j, Q2[j][i] = pairing_sign(n + 1) Q2[i][j] (the
-thimbles live in degree n + 1), and every diagonal
-entry is the self-pairing of an (n+1)-sphere.  That diagonal is the
-matching-sphere normalization: a cycle pair (V, V) presents D*S^(n+1),
-whose generator t_1 - t_2 must self-pair as the sphere S^(n+1) does.
+where Q2 is the doubled k x k thimble matrix, built once per call as
+rows.  Every diagonal entry is the self-pairing of an (n+1)-sphere.
+Above the diagonal Q2[i][j] = s <klass V_i, klass V_j>, and below it
+Q2[j][i] = pairing_sign(n + 1) Q2[i][j] (the thimbles live in degree
+n + 1).  The diagonal is the matching-sphere normalization: a cycle
+pair (V, V) presents D*S^(n+1), whose generator t_1 - t_2 must
+self-pair as the sphere S^(n+1) does.
+
+The thimble sign s is -1 at n = 1 mod 4 and +1 otherwise.  Odd-n
+twists are x + <x,S> S at every odd n, while the diagonal is -2 at
+n = 1 mod 4 and +2 at n = 3 mod 4; with s the off-diagonal entries
+follow the diagonal's sign, so that Hurwitz moves, which act on the
+thimbles by elementary unimodular matrices, preserve Q at every n
+(cf. Seidel, Fukaya categories and Picard-Lefschetz theory, EMS 2008).
 """
 
 from collections import namedtuple
@@ -115,14 +123,12 @@ def euler_characteristic(D):
 def middle_intersection_form(D):
     """The intersection matrix K^T . Q2 . K / 2 on a basis K of ker d.
 
-    Q2 is the doubled thimble matrix: <K_i, K_j> above the diagonal,
-    pairing_sign(n + 1) times that below it, and sphere_self_pairing(n + 1) on
-    the diagonal.  Hurwitz moves act on thimbles by elementary
-    unimodular matrices, which preserves this Q and no other scaling
-    (not yet at n = 1 mod 4: there the diagonal is -2, but odd-n twists
-    keep the sign they have at n = 3).  Restricted to ker d the matrix
-    is integral: for odd n the two triangular halves agree on kernel
-    vectors, for even n the fiber lattice is even.
+    Q2 is the doubled thimble matrix of the module docstring, with its
+    thimble sign.  Hurwitz moves act on thimbles by elementary
+    unimodular matrices, which preserves this Q and no other scaling.
+    Restricted to ker d the matrix is integral: for odd n the two
+    triangular halves agree on kernel vectors, for even n the fiber
+    lattice is even.
     """
     return _middle_form(D, _divisors_and_kernel(D)[1])
 
@@ -132,25 +138,29 @@ def _middle_form(D, kernel):
     n = D.n
     lattice = D.fiber.lattice
     klasses = [cyc.klass for cyc in D.cycles]
-    diag = sphere_self_pairing(n + 1)
-    flip = pairing_sign(n + 1)
     k = len(klasses)
-    pair = {}
+    # the thimble sign s of the module docstring
+    sign = -1 if n % 4 == 1 else 1
+    flip = pairing_sign(n + 1)
+    q2 = [[0] * k for _ in range(k)]
     for i in range(k):
+        q2[i][i] = sphere_self_pairing(n + 1)
         for j in range(i + 1, k):
-            pair[(i, j)] = pairing(lattice, klasses[i], klasses[j])
+            q2[i][j] = sign * pairing(lattice, klasses[i], klasses[j])
+            q2[j][i] = flip * q2[i][j]
+    cols = list(zip(*q2))
 
     form = []
     for u in kernel:
         row = []
         for v in kernel:
-            # u^T . Q2 . v, one triangle of Q2 at a time
+            # u^T . Q2 . v over the pairs i <= j, row i and column i at once
             doubled = 0
             for i in range(k):
-                doubled += diag * u[i] * v[i]
+                qi, ci, ui, vi = q2[i], cols[i], u[i], v[i]
+                doubled += ui * qi[i] * vi
                 for j in range(i + 1, k):
-                    doubled += (u[i] * v[j] + flip * u[j] * v[i]) \
-                        * pair[(i, j)]
+                    doubled += ui * qi[j] * v[j] + u[j] * ci[j] * vi
             half, rem = divmod(doubled, 2)
             if rem:
                 raise InvariantError(

@@ -184,6 +184,18 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert err == "lefweave: %s: out of memory\n" % path
 
 
+def test_recursion_error_exits_2(tmp_path, capsys, monkeypatch):
+    # raised, never recursed: no deep call stack is built
+    def too_deep(payload):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_build_fiber", too_deep)
+    path = write(tmp_path, X1_TEXT)
+    status, out, err = run_main(capsys, ["run", path])
+    assert status == 2 and out == ""
+    assert err == "lefweave: %s: recursion too deep\n" % path
+
+
 def test_long_twist_words_stay_off_the_call_stack(tmp_path, capsys):
     # 1200 nested letters: deeper than the interpreter's recursion limit
     template = ("fiber a2 = ak 3 n=2\n"

@@ -2,9 +2,9 @@
 
 The moves derive each new cycle's class from cached classes, extend arc
 sigma-letters incrementally and cache hashes.  Random sequences of Hurwitz,
-rotate, stabilize and certify_loose steps, run through
-certify.apply_step on arc-carrying matching-fiber data, check after
-every step that:
+rotate, stabilize, certify_loose, insert_sphere, subflex and bsum steps,
+run through certify.apply_step on arc-carrying matching-fiber data,
+check after every step that:
 
   * every cached class equals the evaluation of its word;
   * every arc has the canonical form (tests/arc_oracle.py) of the same
@@ -16,13 +16,16 @@ every step that:
   * the shadow interpreter of verify_certificate, replaying the same
     steps over raw tuples, has the same classes, flags, labels and gram.
 
-certify_loose steps join the mix, some on a drawn pair (which rarely
-fits the rule) and some after sweeping a sphere into place (see
-planned_steps).  When the engine rejects one, the shadow must reject
-it too.  The shadow is driven through its own entry points
-(certify._shadow_state, certify._sh_apply and certify._eval) and
-compared here, with no engine helper in between.
+certify_loose, insert_sphere, subflex and bsum steps come in two kinds
+(see planned_steps): some with drawn or wrong arguments, which the
+rules mostly reject, and some with arguments planned to fit.  When the
+engine rejects a step, the shadow must reject it too.  The shadow is
+driven through its own entry points (certify._shadow_state,
+certify._sh_apply and certify._eval) and compared here, with no engine
+helper in between.
 """
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,13 +35,13 @@ from lefweave.arcs import MatchingArc, apply_half_twist, induced_word, \
     standard_arc
 from lefweave.fibers import ak_matching_fiber
 from lefweave.lattice import SphereClass, TwistWord, evaluate_word
-from lefweave.presentation import LefschetzDatum, VanishingCycle, \
-    hurwitz_left, hurwitz_right
+from lefweave.presentation import LefschetzDatum, MoveError, \
+    VanishingCycle, hurwitz_left, hurwitz_right
 
 from arc_oracle import canonical
 
 MOVES = ("hurwitz_left", "hurwitz_right", "rotate", "stabilize",
-         "certify_loose")
+         "certify_loose", "insert_sphere", "subflex", "bsum")
 MAX_STEPS = 8
 
 
@@ -49,12 +52,17 @@ def scenarios(draw):
     edge = st.integers(1, m - 1)
     letter = st.none() | st.tuples(edge, st.sampled_from((-1, 1)))
     cycles = draw(st.lists(st.tuples(edge, letter), min_size=2, max_size=3))
-    pairing = st.lists(st.integers(-1, 1), min_size=m - 1 + MAX_STEPS,
-                       max_size=m - 1 + MAX_STEPS)
+    # each step adds at most two basis spheres (a bsum of ak 3)
+    rank = m - 1 + 2 * MAX_STEPS
+    pairing = st.lists(st.integers(-1, 1), min_size=rank, max_size=rank)
     steps = draw(st.lists(
         st.tuples(st.sampled_from(MOVES), st.integers(1, 6), pairing),
         min_size=1, max_size=MAX_STEPS))
-    return m, n, cycles, steps
+    # the second summand of every bsum step
+    other = draw(st.tuples(
+        st.sampled_from((2, 3)),
+        st.lists(st.tuples(st.just(1), st.none()), min_size=1, max_size=2)))
+    return m, n, cycles, steps, other
 
 
 def build(m, n, cycles):
@@ -112,7 +120,7 @@ def check_consistent(D):
         assert [c.word for c in back.cycles] == [c.word for c in D.cycles]
 
 
-def planned_steps(D, move, position, pairing, number):
+def planned_steps(D, move, position, pairing, number, other):
     """The (tag, args) steps one drawn move stands for.
 
     A certify_loose draw with an odd position certifies the drawn pair,
@@ -121,14 +129,45 @@ def planned_steps(D, move, position, pairing, number):
     hurwitz_left, twisting each cycle it passes, so that S stands before
     tau_S of the first cycle across the basepoint; the rule then needs
     only that S meet the first cycle's class once.
+
+    The other moves split the same way.  An odd position inserts a
+    basis sphere that is not in the catalogue, subflexes cycle i along
+    the drawn disk, or sums with ``other`` in the wrong dimension; an
+    even one inserts a catalogue sphere (stabilizing first if there is
+    none), subflexes along a basis sphere that meets cycle i once, or
+    sums with ``other`` in D's dimension.
     """
     k = len(D.cycles)
     i = (position - 1) % k + 1
+    rank = D.fiber.lattice.rank
     if move == "rotate":
         return [("rotate", ())]
     if move == "stabilize":
-        rank = D.fiber.lattice.rank
         return [("stabilize", (pairing[:rank], "h%d" % number))]
+    if move == "insert_sphere":
+        after = position % (k + 1)
+        if position % 2:
+            return [("insert_sphere", (after, D.fiber.basis_labels[0]))]
+        catalogue = sorted(D.fiber.stabilizing_spheres)
+        if catalogue:
+            label = catalogue[position % len(catalogue)]
+            return [("insert_sphere", (after, label))]
+        label = "h%d" % number
+        return [("stabilize", (pairing[:rank], label)),
+                ("insert_sphere", (after, label))]
+    if move == "subflex":
+        disk = tuple(pairing[:rank])
+        coords = D.cycles[i - 1].klass.coords
+        once = [j for j, c in enumerate(coords) if abs(c) == 1]
+        if not position % 2 and once:
+            disk = tuple(int(j == once[0]) for j in range(rank))
+        disks = [None] * k
+        disks[i - 1] = disk
+        return [("subflex", (disks,))]
+    if move == "bsum":
+        m, cycles = other
+        n = D.n if not position % 2 else 5 - D.n
+        return [("bsum", (build(m, n, cycles),))]
     spheres = [j for j, c in enumerate(D.cycles) if c.stabilization_sphere]
     if move != "certify_loose" or position % 2 or not spheres:
         return [(move, (i,))]
@@ -154,20 +193,24 @@ def check_shadow(state, D):
 @settings(max_examples=60, deadline=None)
 @given(scenarios())
 def test_random_moves_keep_engine_consistent(scenario):
-    m, n, cycles, steps = scenario
+    m, n, cycles, steps, other = scenario
     D = build(m, n, cycles)
     check_consistent(D)
     state = certify._shadow_state(D)
     check_shadow(state, D)
     for number, drawn in enumerate(steps):
-        for step in planned_steps(D, *drawn, number):
+        for step in planned_steps(D, *drawn, number, other):
             try:
                 D = certify.apply_step(D, step)
-            except certify.CertifyError:
-                # a rejected certification: the shadow rejects it too
-                # and, like the engine, keeps its state
+            except (certify.CertifyError, MoveError):
+                # a rejected step: the shadow rejects it too and, like
+                # the engine, keeps its state.  A shadow subflex attaches
+                # its handle before the disk check (verify stops at the
+                # first rejection), so that one is tried on a copy.
+                trial = copy.deepcopy(state) if step[0] == "subflex" \
+                    else state
                 with pytest.raises(certify.CertifyError):
-                    certify._sh_apply(state, step)
+                    certify._sh_apply(trial, step)
                 check_shadow(state, D)
                 continue
             certify._sh_apply(state, step)

@@ -232,9 +232,9 @@ def comparable(inv):
 
 
 def test_moves_preserve_invariants_sample():
-    # n = 1 is left out: see test_hurwitz_preserves_form_at_n1
+    # n = 1 and 5 come last, so the earlier groups keep their seed stream
     rng = random.Random(31)
-    for dims in ((2, 3), (4,)):
+    for dims in ((2, 3), (4,), (1, 5)):
         for _ in range(40):
             D = random_datum(rng, rng.choice(dims))
             want = comparable(total_space_invariants(D))
@@ -259,16 +259,16 @@ def test_moves_preserve_invariants_sample():
                 assert got == want
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "at n = 1 mod 4 the form's diagonal sphere_self_pairing(n + 1) is -2 "
-    "while odd-n twists keep the sign they have at n = 3"))
 def test_hurwitz_preserves_form_at_n1():
+    # at n = 1 mod 4 the diagonal sphere_self_pairing(n + 1) is -2 while
+    # odd-n twists keep the sign they have at n = 3; the thimble sign
+    # on the off-diagonal entries makes the form a move invariant
     fiber = plumbing_lattice(PlumbingTree.path(2, prefix="e"), 1)
     D = LefschetzDatum(fiber, tuple(
         trivial_cycle(fiber, SphereClass(c))
         for c in ((-1, 1), (-1, 0), (0, 1))))
     before = total_space_invariants(D).form_invariants
-    assert before == (1, 4, -1)
+    assert before == (1, 2, -1)
     assert total_space_invariants(hurwitz_right(D, 3)).form_invariants \
         == before
 
