@@ -570,6 +570,10 @@ def _sh_apply(state, step):
         if len(disks) != len(cycles):
             raise CertifyError("shadow: one disk per cycle")
         base_rank = len(state["labels"])
+        # built on the side and committed once every disk has passed
+        gram = [list(row) for row in gram]
+        trial = dict(state, gram=gram, labels=list(state["labels"]),
+                     catalog=set(state["catalog"]))
         attached = 0
         for pos, disk in enumerate(disks, start=1):
             if disk is None:
@@ -578,12 +582,12 @@ def _sh_apply(state, step):
             if len(disk) != base_rank:
                 raise CertifyError("shadow: disk length mismatch", i=pos)
             label = "s%d" % pos
-            while label in state["labels"]:
+            while label in trial["labels"]:
                 label += "'"
-            _sh_attach(state, disk + (0,) * attached, label)
+            _sh_attach(trial, disk + (0,) * attached, label)
             attached += 1
-            cycles = state["cycles"]
-            sphere = _sh_unit(state, label)
+            cycles = trial["cycles"]
+            sphere = _sh_unit(trial, label)
             target = cycles[pos - 1]
             hits = _dot(gram, sphere,
                         _eval(gram, n, target.letters, target.base))
@@ -593,6 +597,7 @@ def _sh_apply(state, step):
             cycles[pos - 1] = _ShadowCycle(
                 _prepend(target.letters, sphere, 2), target.base,
                 False, False)
+        state.update(trial)
         return
     if tag == "bsum":
         other = _shadow_state(args[0])

@@ -28,7 +28,7 @@ from .certify import (
     terminal_claim,
     verify_certificate,
 )
-from .dsl import SCRIPT_WORDS, parse
+from .dsl import parse
 from .fibers import PlumbingTree, ak_matching_fiber, plumbing_lattice
 from .invariants import total_space_invariants
 from .presentation import LefschetzDatum, VanishingCycle, stabilize_label, \
@@ -48,20 +48,16 @@ def _build_fiber(payload):
 
 
 def _build_cycle(fiber, ast):
-    # twist letters nest to the right; a loop keeps long words off the
-    # call stack, and the innermost cycle recurses once
-    letters = []
-    while ast[0] == "tw":
-        letters.append((fiber.basis_sphere(ast[1]), ast[2]))
-        ast = ast[3]
-    if letters:
-        word = _build_cycle(fiber, ast).word
-        for sphere, exp in reversed(letters):
+    letters, inner = ast
+    spheres = [(fiber.basis_sphere(label), exp) for label, exp in letters]
+    if spheres:
+        word = _build_cycle(fiber, ((), inner)).word
+        for sphere, exp in reversed(spheres):
             word = word.prepend(sphere, exp)
         return VanishingCycle(fiber.lattice, word)
-    if ast[0] == "basis":
-        return trivial_cycle(fiber, fiber.basis_sphere(ast[1]))
-    _, i, j, label = ast
+    if inner[0] == "basis":
+        return trivial_cycle(fiber, fiber.basis_sphere(inner[1]))
+    _, i, j, label = inner
     system = fiber.arc_system
     if system is None:
         raise CliError("this fiber has no arc system", label=label)
@@ -79,8 +75,8 @@ def _build_cycle(fiber, ast):
     return VanishingCycle(fiber.lattice, induced_word(system, arc), arc=arc)
 
 
-def _step_to_move(ast, current, values):
-    tag, args = SCRIPT_WORDS[ast[0]], ast[1:]
+def _step_to_move(step, current, values):
+    tag, args = step
     if tag == "stabilize":
         args += (stabilize_label(current.fiber),)
     elif tag == "bsum":
@@ -102,19 +98,19 @@ def format_move(step, label=None):
 def _run_script(base, steps, values):
     current = base
     moves, texts, summary = [], [], []
-    for ast in steps:
-        if ast[0] == "flexify":
+    for step in steps:
+        if step[0] == "flexify":
             current, sub = flexify_after_handles(current)
             moves.extend(sub.moves)
-            texts.extend(format_move(step) for step in sub.moves)
+            texts.extend(format_move(move) for move in sub.moves)
             summary.extend(sub.certifications)
             continue
-        move = _step_to_move(ast, current, values)
+        move = _step_to_move(step, current, values)
         summary.extend(step_certifications(move, len(current.cycles)))
         current = apply_step(current, move)
         moves.append(move)
         texts.append(format_move(
-            move, label=ast[1] if ast[0] == "bsum" else None))
+            move, label=step[1][0] if step[0] == "bsum" else None))
     cert = Certificate(tuple(moves), tuple(summary), terminal_claim(current))
     return current, cert, tuple(texts)
 

@@ -17,8 +17,16 @@ or catalogue arcs (``arc(2,3; a2)``).  Script steps: ``hurwitzL i``,
 ``hurwitzR i``, ``rotate``, ``stabilize [ints]``, ``subflex [[ints]|none,
 ...]``, ``bsum <datum>``, ``certify-loose i``, ``flexify``.  A script's
 resulting datum is registered under the script's name, so scripts chain.
-``#`` starts a comment.  Parsing only checks names and syntax; building
-and running happen in the cli module.
+``#`` starts a comment.  Fibers are capped at rank 2000 (``ak 2001``,
+``plumbing a2000``) and ``n=1000``.  Parsing only checks names, syntax
+and these caps; building and running happen in the cli module.
+
+Parse trees are in the engine's terms.  A cycle expression is
+``(letters, inner)``: (sphere label, exponent) twist letters, outermost
+first, on ``("basis", label)`` or ``("arc", i, j, label)``.  A script
+step is ``(tag, args)``, like a certificate step: a certify.STEPS tag or
+``"flexify"``, and the arguments as written (a stabilize step has no
+label yet, a bsum step names its datum).
 """
 
 import difflib
@@ -52,10 +60,14 @@ _TOKEN = re.compile(
 
 _STATEMENTS = ("fiber", "datum", "script", "print", "verify", "search")
 # Script words and their move tags, read from the step table: every step
-# but insert-sphere, which only flexify writes, plus flexify (tag None).
+# but insert-sphere, which only flexify writes, plus flexify.
 SCRIPT_WORDS = {row.word: tag for tag, row in STEPS.items()
                 if tag != "insert_sphere"}
-SCRIPT_WORDS["flexify"] = None
+SCRIPT_WORDS["flexify"] = "flexify"
+# Fiber size caps: Gram rows are dense in the rank, and the invariants
+# list one homology entry per degree.
+_MAX_RANK = 2000
+_MAX_DIMENSION = 1000
 
 
 def _tokenize(text):
@@ -103,24 +115,14 @@ class Workspace(Immutable):
         object.__setattr__(self, "def_lines", tuple(def_lines))
         object.__setattr__(self, "cmd_lines", tuple(cmd_lines))
 
-    def _key(self):
-        # a cycle AST nests one tuple per twist letter; flat letters keep
-        # comparing and hashing long words off the call stack
-        definitions = []
-        for kind, name, payload in self.definitions:
-            if kind == "datum" and payload[0] == "cycles":
-                payload = payload[:2] + (
-                    tuple(_unnest_cycle(c) for c in payload[2]),)
-            definitions.append((kind, name, payload))
-        return (tuple(definitions), self.commands)
-
     def __eq__(self, other):
         if not isinstance(other, Workspace):
             return NotImplemented
-        return self._key() == other._key()
+        return (self.definitions, self.commands) == (other.definitions,
+                                                     other.commands)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.definitions, self.commands))
 
     def __repr__(self):
         return "Workspace(%d definitions, %d commands)" % (
@@ -227,7 +229,8 @@ class _Parser:
         self._expect("=", "'='")
         kind_tok = self._expect("name", "'ak' or 'plumbing'")
         if kind_tok.value == "ak":
-            m = self._expect("int", "the number of marked points").value
+            m = self._expect_size("the number of marked points",
+                                  _MAX_RANK + 1)
             payload = ("ak", m, self._parse_dimension())
         elif kind_tok.value == "plumbing":
             tree_tok = self._expect("name", "a plumbing tree")
@@ -236,8 +239,9 @@ class _Parser:
                 raise DslError(
                     "only the path shorthand a<k> is built in",
                     tree_tok.line, tree_tok.column, got=tree_tok.value)
-            payload = ("plumbing", int(match.group(1)),
-                       self._parse_dimension())
+            k = self._cap(tree_tok, int(match.group(1)), _MAX_RANK,
+                          "a path plumbing's rank")
+            payload = ("plumbing", k, self._parse_dimension())
         else:
             raise DslError(
                 "expected 'ak' or 'plumbing'%s"
@@ -248,7 +252,17 @@ class _Parser:
     def _parse_dimension(self):
         self._expect_word("n")
         self._expect("=", "'='")
-        return self._expect("int", "the fiber dimension").value
+        return self._expect_size("the fiber dimension", _MAX_DIMENSION)
+
+    def _expect_size(self, what, cap):
+        tok = self._expect("int", what)
+        return self._cap(tok, tok.value, cap, what)
+
+    def _cap(self, tok, value, cap, what):
+        if value > cap:
+            raise DslError("%s is at most %d, not %d" % (what, cap, value),
+                           tok.line, tok.column)
+        return value
 
     def _parse_datum(self):
         head = self._next()
@@ -274,8 +288,6 @@ class _Parser:
         self._add_definition(head, "datum", name, payload)
 
     def _parse_cycle(self):
-        # twist letters nest to the right; a loop keeps long words off
-        # the call stack
         letters = []
         while True:
             tok = self._next()
@@ -301,12 +313,10 @@ class _Parser:
             self._expect(";", "';'")
             label = self._expect("name", "a catalogue arc name").value
             self._expect(")", "')'")
-            ast = ("arc", i, j, label)
+            inner = ("arc", i, j, label)
         else:
-            ast = ("basis", tok.value)
-        for sphere, exp in reversed(letters):
-            ast = ("tw", sphere, exp, ast)
-        return ast
+            inner = ("basis", tok.value)
+        return (tuple(letters), inner)
 
     def _parse_script(self):
         head = self._next()
@@ -337,11 +347,10 @@ class _Parser:
                 % (tok.value, _suggest(str(tok.value), SCRIPT_WORDS)),
                 tok.line, tok.column)
         tag = SCRIPT_WORDS[tok.value]
-        kinds = () if tag is None else STEPS[tag].kinds
+        kinds = STEPS[tag].kinds if tag in STEPS else ()
         # a stabilize label is picked when the script runs
-        return (tok.value,) + tuple(
-            getattr(self, "_arg_" + kind)() for kind in kinds
-            if kind != "label")
+        return (tag, tuple(getattr(self, "_arg_" + kind)() for kind in kinds
+                           if kind != "label"))
 
     def _arg_pos(self):
         pos_tok = self._expect("int", "a cycle position")
@@ -416,17 +425,8 @@ def parse(text):
 # --- pretty printer -----------------------------------------------------
 
 
-def _unnest_cycle(ast):
-    """A cycle AST as (twist letters outermost first, innermost cycle)."""
-    letters = []
-    while ast[0] == "tw":
-        letters.append((ast[1], ast[2]))
-        ast = ast[3]
-    return tuple(letters), ast
-
-
 def _cycle_text(ast):
-    letters, inner = _unnest_cycle(ast)
+    letters, inner = ast
     parts = ["tw(%s)^%d" % letter for letter in letters]
     if inner[0] == "basis":
         parts.append(inner[1])
@@ -466,10 +466,9 @@ def pretty_print(workspace):
         else:
             target, steps = payload
             lines.append("script %s on %s {" % (name, target))
-            for word, *args in steps:
-                tag = SCRIPT_WORDS[word]
+            for tag, args in steps:
                 lines.append("  %s;" % (
-                    word if tag is None else step_text(tag, args)))
+                    tag if tag == "flexify" else step_text(tag, args)))
             lines.append("}")
     for cmd in workspace.commands:
         lines.append(_command_text(cmd))

@@ -94,8 +94,7 @@ class VanishingCycle(Immutable):
 def trivial_cycle(fiber, klass, arc=None, stabilization_sphere=False,
                   loose_certified=False):
     """A cycle with an empty twist word on the given class."""
-    lattice = getattr(fiber, "lattice", fiber)
-    return VanishingCycle(lattice, TwistWord((), klass), arc=arc,
+    return VanishingCycle(fiber.lattice, TwistWord((), klass), arc=arc,
                           stabilization_sphere=stabilization_sphere,
                           loose_certified=loose_certified)
 
@@ -253,7 +252,7 @@ def stabilize(D, pairings, label):
     fiber, sphere = attach_stabilizing_handle(D.fiber, pairings, label)
     if fiber._handle_cycle is None:
         object.__setattr__(fiber, "_handle_cycle", trivial_cycle(
-            fiber.lattice, sphere, stabilization_sphere=True))
+            fiber, sphere, stabilization_sphere=True))
     cycles = [_grow_cycle(c) for c in D.cycles]
     cycles.append(fiber._handle_cycle)
     return LefschetzDatum(fiber, cycles)

@@ -197,7 +197,7 @@ def test_recursion_error_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_long_twist_words_stay_off_the_call_stack(tmp_path, capsys):
-    # 1200 nested letters: deeper than the interpreter's recursion limit
+    # 1200 twist letters: more than the interpreter's recursion limit
     template = ("fiber a2 = ak 3 n=2\n"
                 "datum D over a2 = [%s, e2]\n"
                 "print invariants D\n")

@@ -2,8 +2,13 @@
 
 Everything here is syntax: results are checked as parse trees, never by
 running them.  Error positions are asserted exactly (1-based columns).
+The fiber size caps are checked through parse and ``lefweave check``
+only, so no fiber is ever built here.
 """
 
+import pytest
+
+from lefweave.cli import main
 from lefweave.dsl import DslError, parse, pretty_print
 
 X1_TEXT = (
@@ -30,8 +35,8 @@ def test_parse_x1_shapes():
     assert ws.definitions == (
         ("fiber", "a2", ("ak", 3, 2)),
         ("datum", "X1", ("cycles", "a2",
-                         (("basis", "e1"),
-                          ("tw", "e2", 2, ("basis", "e1"))))),
+                         (((), ("basis", "e1")),
+                          ((("e2", 2),), ("basis", "e1"))))),
     )
     assert ws.commands == (("print_invariants", "X1"),)
     assert ws.def_lines == (2, 3)
@@ -41,14 +46,14 @@ def test_parse_x1_shapes():
 def test_parse_script_and_commands():
     ws = parse(SCRIPT_TEXT)
     assert ws.definitions[3] == ("script", "s", ("D", (
-        ("rotate",),
-        ("stabilize", (1,)),
-        ("subflex", (None,)),
-        ("bsum", "P"),
-        ("hurwitzL", 1),
-        ("hurwitzR", 2),
-        ("certify-loose", 1),
-        ("flexify",),
+        ("rotate", ()),
+        ("stabilize", ((1,),)),
+        ("subflex", ((None,),)),
+        ("bsum", ("P",)),
+        ("hurwitz_left", (1,)),
+        ("hurwitz_right", (2,)),
+        ("certify_loose", (1,)),
+        ("flexify", ()),
     )))
     assert ws.commands == (
         ("verify", "s"),
@@ -68,9 +73,9 @@ def test_cycle_expression_variants():
         "fiber a3 = ak 4 n=2\n"
         "datum D over a3 = [arc(1,2; a1), tw(e1)^-1 e2, e3]\n")
     assert ws.definitions[1][2][2] == (
-        ("arc", 1, 2, "a1"),
-        ("tw", "e1", -1, ("basis", "e2")),
-        ("basis", "e3"),
+        ((), ("arc", 1, 2, "a1")),
+        ((("e1", -1),), ("basis", "e2")),
+        ((), ("basis", "e3")),
     )
 
 
@@ -150,8 +155,7 @@ def test_plumbing_shorthand_only():
 
 
 def test_long_word_round_trip_compares_and_hashes():
-    # 5000 nested twist letters: comparing or hashing the nested AST
-    # recursed once per letter
+    # 5000 twist letters on one cycle
     template = ("fiber a2 = ak 3 n=2\n"
                 "datum D over a2 = [%s, arc(1,2; a1)]\n"
                 "print invariants D\n")
@@ -159,9 +163,34 @@ def test_long_word_round_trip_compares_and_hashes():
     ws = parse(template % (body + "e1"))
     twin = parse(pretty_print(ws))
     assert twin == ws and hash(twin) == hash(ws)
-    # the AST keeps its nesting: one ("tw", sphere, exp, rest) per letter
-    ast = ws.definitions[1][2][2][0]
-    assert ast[:3] == ("tw", "e1", 1) and ast[3][:3] == ("tw", "e2", -1)
+    # the AST is flat: every letter, outermost first, then the inner cycle
+    assert ws.definitions[1][2][2][0] == (
+        (("e1", 1), ("e2", -1)) * 2500, ("basis", "e1"))
     # a change in the innermost cycle or in the last letter still shows
     assert parse(template % (body + "e2")) != ws
     assert parse(template % (body[:-len("tw(e2)^-1 ")] + "tw(e2)^1 e1")) != ws
+
+
+FIBER_CAPS = (
+    # (statement at the cap, its payload, statement one above the cap,
+    # column of the size token)
+    ("fiber a = ak 2001 n=2", ("ak", 2001, 2),
+     "fiber a = ak 2002 n=2", 14),
+    ("fiber p = plumbing a2000 n=3", ("plumbing", 2000, 3),
+     "fiber p = plumbing a2001 n=3", 20),
+    ("fiber a = ak 3 n=1000", ("ak", 3, 1000),
+     "fiber a = ak 3 n=1001", 18),
+)
+
+
+@pytest.mark.parametrize("at_cap, payload, above, column", FIBER_CAPS)
+def test_fiber_size_caps(tmp_path, capsys, at_cap, payload, above, column):
+    assert parse(at_cap + "\n").definitions[0][2] == payload
+    check_error("# caps\n" + above + "\n", "is at most", 2, column)
+    path = tmp_path / "caps.lef"
+    path.write_text(at_cap + "\n")
+    assert main(["check", str(path)]) == 0
+    path.write_text(above + "\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1, column %d" % column in err and "is at most" in err

@@ -95,11 +95,10 @@ def test_cached_child_keeps_the_label_and_length_checks():
 def _arc_datum(fiber):
     """Two cycles on the standard arcs of a 3-point matching fiber, the
     first one a stabilization sphere."""
-    lattice = fiber.lattice
     return LefschetzDatum(fiber, [
-        trivial_cycle(lattice, fiber.basis_sphere("e1"),
+        trivial_cycle(fiber, fiber.basis_sphere("e1"),
                       stabilization_sphere=True),
-        trivial_cycle(lattice, fiber.basis_sphere("e2")),
+        trivial_cycle(fiber, fiber.basis_sphere("e2")),
     ])
 
 

@@ -36,7 +36,7 @@ from lefweave.arcs import MatchingArc, apply_half_twist, induced_word, \
 from lefweave.fibers import ak_matching_fiber
 from lefweave.lattice import SphereClass, TwistWord, evaluate_word
 from lefweave.presentation import LefschetzDatum, MoveError, \
-    VanishingCycle, hurwitz_left, hurwitz_right
+    VanishingCycle, hurwitz_left, hurwitz_right, trivial_cycle
 
 from arc_oracle import canonical
 
@@ -204,15 +204,28 @@ def test_random_moves_keep_engine_consistent(scenario):
                 D = certify.apply_step(D, step)
             except (certify.CertifyError, MoveError):
                 # a rejected step: the shadow rejects it too and, like
-                # the engine, keeps its state.  A shadow subflex attaches
-                # its handle before the disk check (verify stops at the
-                # first rejection), so that one is tried on a copy.
-                trial = copy.deepcopy(state) if step[0] == "subflex" \
-                    else state
+                # the engine, keeps its state
                 with pytest.raises(certify.CertifyError):
-                    certify._sh_apply(trial, step)
+                    certify._sh_apply(state, step)
                 check_shadow(state, D)
                 continue
             certify._sh_apply(state, step)
             check_consistent(D)
             check_shadow(state, D)
+
+
+def test_rejected_shadow_subflex_keeps_its_state():
+    # the first disk meets its cycle once and the second misses its
+    # cycle: the step is rejected after one handle could be attached
+    fiber = ak_matching_fiber(3, 2)
+    D = LefschetzDatum(fiber, [trivial_cycle(fiber, fiber.basis_sphere(label))
+                               for label in ("e1", "e2")])
+    step = ("subflex", ([(1, 0), (0, 0)],))
+    with pytest.raises(MoveError):
+        certify.apply_step(D, step)
+    state = certify._shadow_state(D)
+    before = copy.deepcopy(state)
+    with pytest.raises(certify.CertifyError, match="meet its cycle once"):
+        certify._sh_apply(state, step)
+    assert state == before
+    check_shadow(state, D)
