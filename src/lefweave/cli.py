@@ -31,6 +31,7 @@ from .certify import (
 from .dsl import parse
 from .fibers import PlumbingTree, ak_matching_fiber, plumbing_lattice
 from .invariants import total_space_invariants
+from .lattice import TwistWord
 from .presentation import LefschetzDatum, VanishingCycle, stabilize_label, \
     trivial_cycle
 from .presets import preset
@@ -49,12 +50,14 @@ def _build_fiber(payload):
 
 def _build_cycle(fiber, ast):
     letters, inner = ast
-    spheres = [(fiber.basis_sphere(label), exp) for label, exp in letters]
-    if spheres:
+    if letters:
+        spheres = {label: fiber.basis_sphere(label)
+                   for label in dict.fromkeys(label for label, _ in letters)}
         word = _build_cycle(fiber, ((), inner)).word
-        for sphere, exp in reversed(spheres):
-            word = word.prepend(sphere, exp)
-        return VanishingCycle(fiber.lattice, word)
+        # one freely reducing pass over the letters, then the inner word's
+        return VanishingCycle(fiber.lattice, TwistWord(
+            [(spheres[label], exp) for label, exp in letters]
+            + list(word.letters), word.base))
     if inner[0] == "basis":
         return trivial_cycle(fiber, fiber.basis_sphere(inner[1]))
     _, i, j, label = inner

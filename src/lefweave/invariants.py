@@ -14,11 +14,12 @@ columns are a basis of ker d, it is
 
     Q = K^T . Q2 . K / 2
 
-where Q2 is the doubled k x k thimble matrix, built once per call as
-rows.  Every diagonal entry is the self-pairing of an (n+1)-sphere.
-Above the diagonal Q2[i][j] = s <klass V_i, klass V_j>, and below it
-Q2[j][i] = pairing_sign(n + 1) Q2[i][j] (the thimbles live in degree
-n + 1).  The diagonal is the matching-sphere normalization: a cycle
+where Q2 is the doubled k x k thimble matrix.  Every diagonal entry is
+the self-pairing of an (n+1)-sphere.  Above the diagonal
+Q2[i][j] = s <klass V_i, klass V_j>, built once per call as rows; below
+it Q2[j][i] = pairing_sign(n + 1) Q2[i][j] (the thimbles live in degree
+n + 1), applied where the product reads it, so no lower triangle is
+stored.  The diagonal is the matching-sphere normalization: a cycle
 pair (V, V) presents D*S^(n+1), whose generator t_1 - t_2 must
 self-pair as the sphere S^(n+1) does.
 
@@ -59,21 +60,15 @@ def _divisors_and_kernel(D):
     """Nonzero SNF divisors of d plus an integer basis of ker d."""
     rank = D.fiber.lattice.rank
     k = len(D.cycles)
-    if k == 0:
-        return [], []
     if rank == 0:
         basis = [tuple(1 if i == j else 0 for i in range(k))
                  for j in range(k)]
         return [], basis
-    _, Dm, V = smith_normal_form(_boundary_matrix(D))
-    divisors = []
-    kernel = []
-    for j in range(k):
-        if j < rank and Dm[j][j] != 0:
-            divisors.append(Dm[j][j])
-        else:
-            # zero column of D: column j of V is a kernel vector
-            kernel.append(tuple(V[i][j] for i in range(k)))
+    d, V = smith_normal_form(_boundary_matrix(D))
+    divisors = [x for x in d if x]
+    # M.V is zero past the rank, so those columns of V span ker d
+    kernel = [tuple(row[j] for row in V)
+              for j in range(len(divisors), k)]
     return divisors, kernel
 
 
@@ -142,25 +137,22 @@ def _middle_form(D, kernel):
     # the thimble sign s of the module docstring
     sign = -1 if n % 4 == 1 else 1
     flip = pairing_sign(n + 1)
-    q2 = [[0] * k for _ in range(k)]
-    for i in range(k):
-        q2[i][i] = sphere_self_pairing(n + 1)
-        for j in range(i + 1, k):
-            q2[i][j] = sign * pairing(lattice, klasses[i], klasses[j])
-            q2[j][i] = flip * q2[i][j]
-    cols = list(zip(*q2))
+    diag = sphere_self_pairing(n + 1)
+    # the upper triangle of Q2; entries on and below the diagonal unused
+    q2 = [[sign * pairing(lattice, klasses[i], klasses[j]) if j > i else 0
+           for j in range(k)] for i in range(k)]
 
     form = []
     for u in kernel:
         row = []
         for v in kernel:
-            # u^T . Q2 . v over the pairs i <= j, row i and column i at once
+            # u^T . Q2 . v over the pairs i <= j, with Q2[j][i] from Q2[i][j]
             doubled = 0
             for i in range(k):
-                qi, ci, ui, vi = q2[i], cols[i], u[i], v[i]
-                doubled += ui * qi[i] * vi
+                qi, ui, vi = q2[i], u[i], v[i]
+                doubled += ui * diag * vi
                 for j in range(i + 1, k):
-                    doubled += ui * qi[j] * v[j] + u[j] * ci[j] * vi
+                    doubled += qi[j] * (ui * v[j] + flip * u[j] * vi)
             half, rem = divmod(doubled, 2)
             if rem:
                 raise InvariantError(
@@ -172,11 +164,9 @@ def _middle_form(D, kernel):
 
 def form_invariants(matrix, symmetric):
     """(rank, |det| of the nondegenerate part, signature or None)."""
-    size = len(matrix)
-    if size == 0:
+    if not matrix:
         return (0, 1, 0 if symmetric else None)
-    _, Dm, _ = smith_normal_form(matrix)
-    divisors = [Dm[t][t] for t in range(size) if Dm[t][t] != 0]
+    divisors = [x for x in smith_normal_form(matrix)[0] if x]
     rank = len(divisors)
     abs_det = 1
     for d in divisors:
@@ -244,8 +234,7 @@ def _merge_torsion(t1, t2):
     size = len(entries)
     diag = [[entries[i] if i == j else 0 for j in range(size)]
             for i in range(size)]
-    _, Dm, _ = smith_normal_form(diag)
-    return tuple(Dm[t][t] for t in range(size) if Dm[t][t] > 1)
+    return tuple(x for x in smith_normal_form(diag)[0] if x > 1)
 
 
 def product_with_cotangent_sphere(inv, j):

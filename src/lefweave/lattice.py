@@ -15,6 +15,10 @@ Conventions, fixed once here and relied on everywhere else:
   involution on the lattice, so exponents only matter mod 2; for n odd
   tau_S^m(x) = x + m * <x,S> * S, so the inverse is x - <x,S> S.
 
+- smith_normal_form(M) returns the pair (d, V): the invariant factors
+  d_1 | d_2 | ... and the column transform.  The matching row transform U
+  exists, but every caller reads only d and V, so it is not built.
+
 All arithmetic is plain Python integers; values are immutable tuples.
 """
 
@@ -277,24 +281,22 @@ def evaluate_word(L, w):
 
 
 def smith_normal_form(M):
-    """Smith normal form with transforms: returns (U, D, V), U.M.V = D.
+    """Smith normal form: returns (d, V) with M.V = U^-1.diag(d).
 
-    D is diagonal with nonnegative entries in a divisibility chain
-    d_i | d_{i+1}; U and V are unimodular.  Pivoting is deterministic:
-    the smallest nonzero absolute value in the remaining submatrix wins,
-    ties broken by lowest row index, then lowest column index.
+    d = (d_1, d_2, ...) has length min(p, q); its entries are
+    nonnegative, zeros last, and form a divisibility chain d_i | d_{i+1}.
+    V is the unimodular column transform.  A unimodular row transform U
+    with U.M.V = diag(d) exists, but no caller reads it, so it is not
+    built.  Pivoting is deterministic: the smallest nonzero absolute
+    value in the remaining submatrix wins, ties broken by lowest row
+    index, then lowest column index.
     """
     A = [list(map(int, row)) for row in M]
     p = len(A)
     q = len(A[0]) if p else 0
     if any(len(row) != q for row in A):
         raise LatticeError("ragged matrix")
-    U = [[1 if i == j else 0 for j in range(p)] for i in range(p)]
     V = [[1 if i == j else 0 for j in range(q)] for i in range(q)]
-
-    def row_swap(a, b):
-        A[a], A[b] = A[b], A[a]
-        U[a], U[b] = U[b], U[a]
 
     def col_swap(a, b):
         for row in A:
@@ -307,9 +309,6 @@ def smith_normal_form(M):
         Ad, As = A[dst], A[src]
         for j in range(q):
             Ad[j] += mult * As[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(p):
-            Ud[j] += mult * Us[j]
 
     def col_add(dst, src, mult):
         for row in A:
@@ -333,7 +332,7 @@ def smith_normal_form(M):
                 break
             _, pi, pj = found
             if pi != t:
-                row_swap(t, pi)
+                A[t], A[pi] = A[pi], A[t]
             if pj != t:
                 col_swap(t, pj)
             pivot = A[t][t]
@@ -366,16 +365,8 @@ def smith_normal_form(M):
             if bad is None:
                 break
             row_add(t, bad, 1)
-        if A[t][t] < 0:
-            for j in range(q):
-                A[t][j] = -A[t][j]
-            for j in range(p):
-                U[t][j] = -U[t][j]
         if A[t][t] == 0:
             break
 
-    return (
-        tuple(tuple(r) for r in U),
-        tuple(tuple(r) for r in A),
-        tuple(tuple(r) for r in V),
-    )
+    d = tuple(abs(A[t][t]) for t in range(min(p, q)))
+    return d, tuple(tuple(r) for r in V)

@@ -21,9 +21,11 @@ stabilization-sphere cycle S directly before a cycle whose word is
 
 import random
 
+from lefweave import LefweaveError, presets
 from lefweave.certify import (
     Certificate,
     CertifyError,
+    apply_step,
     flexify_after_handles,
     insert_sphere,
     rule_loose_pair,
@@ -473,3 +475,48 @@ def test_pipeline_property_random():
         assert res.accepted
         assert all(c.loose_certified or c.stabilization_sphere
                    for c in res.final.cycles)
+
+
+def _single_step_mutations(moves):
+    """Each certificate with one step dropped, its position argument
+    shifted by one either way, or its tag swapped for another of
+    hurwitz_left, hurwitz_right and certify_loose."""
+    swappable = ("hurwitz_left", "hurwitz_right", "certify_loose")
+    for i, (tag, args) in enumerate(moves):
+        before, after = moves[:i], moves[i + 1:]
+        yield before + after
+        for shift in (-1, 1):
+            yield before + ((tag, (args[0] + shift,) + args[1:]),) + after
+        if tag in swappable:
+            for other in swappable:
+                if other != tag:
+                    yield before + ((other, args),) + after
+
+
+def test_single_step_mutations_are_rejected_at_their_step():
+    cases = [
+        (presets.x2(), search_certificate(presets.x2(), 2, 1000)),
+        (presets.x1_plus_cycle(),
+         search_certificate(presets.x1_plus_cycle(), 2, 1000)),
+        (presets.x1(), flexify_after_handles(presets.x1())[1]),
+    ]
+    tried = 0
+    for D, cert in cases:
+        assert verify_certificate(D, cert).accepted
+        for moves in _single_step_mutations(cert.moves):
+            tried += 1
+            res = verify_certificate(D, cert._replace(moves=moves))
+            assert not res.accepted
+            # the first step the move engine rejects, if any
+            current, failed = D, None
+            for idx, step in enumerate(moves, start=1):
+                try:
+                    current = apply_step(current, step)
+                except LefweaveError:
+                    failed = idx
+                    break
+            if failed is None:
+                assert not res.reason.startswith("step ")
+            else:
+                assert res.reason.startswith("step %d: " % failed)
+    assert tried == 33

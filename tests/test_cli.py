@@ -197,19 +197,40 @@ def test_recursion_error_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_long_twist_words_stay_off_the_call_stack(tmp_path, capsys):
-    # 1200 twist letters: more than the interpreter's recursion limit
+    # 1200 and 20,000 twist letters: more than the interpreter's recursion
+    # limit
     template = ("fiber a2 = ak 3 n=2\n"
                 "datum D over a2 = [%s, e2]\n"
                 "print invariants D\n")
-    text = template % ("tw(e1)^1 tw(e2)^1 " * 600 + "e1")
-    assert pretty_print(parse(text)) == text
-    path = write(tmp_path, text)
-    assert run_main(capsys, ["check", path]) == (0, "", "")
-    status, out, err = run_main(capsys, ["run", path])
+    pair = "tw(e1)^1 tw(e2)^1 "
+    for pairs in (600, 10000):
+        text = template % (pair * pairs + "e1")
+        assert pretty_print(parse(text)) == text
+        path = write(tmp_path, text)
+        assert run_main(capsys, ["check", path]) == (0, "", "")
+        status, out, err = run_main(capsys, ["run", path])
+        assert status == 0 and err == ""
+        # tau_e1 tau_e2 has order 3 on classes at n=2
+        twin = write(tmp_path, template % (pair * (pairs % 3) + "e1"))
+        twin = run_main(capsys, ["run", twin])
+        assert json.loads(out)["results"] == json.loads(twin[1])["results"]
+
+
+def test_print_invariants_at_the_rank_cap(tmp_path, capsys):
+    # plumbing a2000 is the largest fiber the DSL accepts
+    text = ("fiber a = plumbing a2000 n=3\n"
+            "datum D over a = [e1, e1, e2]\n"
+            "print invariants D\n")
+    status, out, err = run_main(capsys, ["run", write(tmp_path, text)])
     assert status == 0 and err == ""
-    # tau_e1 tau_e2 has order 3 on classes at n=2, and 600 = 0 mod 3
-    twin = run_main(capsys, ["run", write(tmp_path, template % "e1")])
-    assert json.loads(out)["results"] == json.loads(twin[1])["results"]
+    (entry,) = json.loads(out)["results"]
+    assert entry["chi"] == -1996
+    assert entry["homology"] == [
+        {"degree": deg, "free": free, "torsion": []}
+        for deg, free in enumerate((1, 0, 0, 1998, 1))]
+    assert entry["middle_form"] == {
+        "abs_det": 2, "matrix": [[2]], "rank": 1, "signature": 1,
+        "symmetry": "symmetric"}
 
 
 def test_json_out_and_seed(tmp_path, capsys):

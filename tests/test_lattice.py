@@ -6,6 +6,8 @@ SNF tests additionally compare invariant factors against sympy as an
 independent oracle.
 """
 
+import itertools
+import math
 import random
 
 import pytest
@@ -132,23 +134,23 @@ def test_word_inverse_composes_to_identity():
 
 
 def test_smith_normal_form_frozen():
-    U, D, V = smith_normal_form([[2, 0], [0, 3]])
-    assert D == ((1, 0), (0, 6))
+    d, V = smith_normal_form([[2, 0], [0, 3]])
+    assert d == (1, 6)
 
-    U, D, V = smith_normal_form([[0, 0, 0], [0, 0, 0]])
-    assert D == ((0, 0, 0), (0, 0, 0))
+    d, V = smith_normal_form([[0, 0, 0], [0, 0, 0]])
+    assert d == (0, 0)
+    assert V == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    U, D, V = smith_normal_form([[1, 0], [0, 1]])
-    assert D == ((1, 0), (0, 1))
+    d, V = smith_normal_form([[1, 0], [0, 1]])
+    assert d == (1, 1)
 
 
 def test_smith_normal_form_shapes_and_empty():
-    U, D, V = smith_normal_form([[1, 2, 3]])
-    assert len(D) == 1 and len(D[0]) == 3
-    U, D, V = smith_normal_form([])
-    assert D == ()
-    U, D, V = smith_normal_form([[], []])
-    assert D == ((), ())
+    d, V = smith_normal_form([[1, 2, 3]])
+    assert d == (1,)
+    assert len(V) == 3 and all(len(row) == 3 for row in V)
+    assert smith_normal_form([]) == ((), ())
+    assert smith_normal_form([[], []]) == ((), ())
 
 
 def _det(m):
@@ -173,29 +175,29 @@ def _matmul(a, b):
 
 
 def test_smith_normal_form_properties_random():
+    # no U is returned; check that a unimodular U with U.M.V = diag(d)
+    # exists: M.V is zero past the rank r, column j < r is d_j times a
+    # column c_j, and the r x r minors of C = (c_0 .. c_{r-1}) are coprime,
+    # so C extends to a unimodular matrix W with M.V = W.diag(d)
     rng = random.Random(7)
     for _ in range(60):
         p = rng.randint(1, 5)
         q = rng.randint(1, 5)
         M = [[rng.randint(-9, 9) for _ in range(q)] for _ in range(p)]
-        U, D, V = smith_normal_form(M)
-        assert abs(_det([list(r) for r in U])) == 1
+        d, V = smith_normal_form(M)
+        assert len(d) == min(p, q)
         assert abs(_det([list(r) for r in V])) == 1
-        UM = _matmul([list(r) for r in U], M)
-        UMV = _matmul(UM, [list(r) for r in V])
-        assert UMV == [list(r) for r in D]
-        diag = [D[i][i] for i in range(min(p, q))]
-        for i in range(p):
-            for j in range(q):
-                if i != j:
-                    assert D[i][j] == 0
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            if a != 0:
-                if b != 0:
-                    assert b % a == 0
-            else:
-                assert b == 0
+        MV = _matmul(M, [list(r) for r in V])
+        r = sum(1 for x in d if x)
+        assert all(x > 0 for x in d[:r]) and not any(d[r:])
+        for a, b in zip(d[:r], d[1:r]):
+            assert b % a == 0
+        assert all(row[j] == 0 for row in MV for j in range(r, q))
+        assert all(row[j] % d[j] == 0 for row in MV for j in range(r))
+        C = [[row[j] // d[j] for j in range(r)] for row in MV]
+        minors = [_det([C[i] for i in rows])
+                  for rows in itertools.combinations(range(p), r)]
+        assert math.gcd(*minors) == 1
 
 
 def test_smith_normal_form_against_sympy():
@@ -207,8 +209,8 @@ def test_smith_normal_form_against_sympy():
         p = rng.randint(1, 4)
         q = rng.randint(1, 4)
         M = [[rng.randint(-6, 6) for _ in range(q)] for _ in range(p)]
-        _, D, _ = smith_normal_form(M)
-        ours = sorted(abs(D[i][i]) for i in range(min(p, q)) if D[i][i] != 0)
+        d, _ = smith_normal_form(M)
+        ours = sorted(x for x in d if x)
         S = sympy_snf(sympy.Matrix(M))
         theirs = sorted(
             abs(S[i, i]) for i in range(min(S.rows, S.cols)) if S[i, i] != 0
