@@ -334,73 +334,59 @@ def _child_steps(D):
                        stabilize_label(D.fiber))
 
 
-def _first_loose_child(frontier):
-    """The certificate of the first accepting child of ``frontier``.
+def _loose_steps(D):
+    """The one (step, summary entries) that can make D's child accept.
 
     Only a certify_loose child can be all-flagged: a Hurwitz child holds
-    its new twisted cycle unflagged, rotate and stabilize keep the
-    parent's flags, and no frontier node is all-flagged.  So a parent
-    yields one only when exactly one of its cycles is unflagged, by
-    certifying that cycle, and only that child is built.  The child
-    cannot have been seen: an equal node would be all-flagged too.
+    its new twisted cycle unflagged, and rotate and stabilize keep the
+    parent's flags.  So D needs exactly one unflagged cycle b, certified
+    from position i = b or k (i % k == b); the search drops the step
+    unless the cycle before b is a stabilization sphere.
     """
-    for datum, moves, summary in frontier:
-        k = len(datum.cycles)
-        unflagged = [b for b, c in enumerate(datum.cycles)
-                     if not (c.loose_certified or c.stabilization_sphere)]
-        if k < 2 or len(unflagged) != 1:
-            continue
-        b = unflagged[0]
-        # cycle b is certified from position i = b or k (i % k == b),
-        # and only when the cycle before it is a stabilization sphere
-        if not datum.cycles[b - 1].stabilization_sphere:
-            continue
-        step = ("certify_loose", (b or k,))
-        try:
-            child = apply_step(datum, step)
-        except LefweaveError:
-            continue
-        return Certificate(moves + (step,),
-                           summary + step_certifications(step, k),
-                           terminal_claim(child))
-    return None
+    cycles = D.cycles
+    k = len(cycles)
+    unflagged = [b for b, c in enumerate(cycles)
+                 if not (c.loose_certified or c.stabilization_sphere)]
+    if k < 2 or len(unflagged) != 1:
+        return ()
+    step = ("certify_loose", (unflagged[0] or k,))
+    return ((step, step_certifications(step, k)),)
 
 
 def search_certificate(D, depth, width):
     """Breadth-first search for an accepting certificate.
 
-    Deterministic: nodes are visited in canonical step order, each
+    Deterministic: children are built in canonical step order, each
     level is truncated to ``width`` nodes, and the first accepting node
-    wins.  Depth counts every step, certifications included.  A miss
-    means "no certificate within bounds", nothing more.
+    wins; it is returned as soon as it is built.  Depth counts every
+    step, certifications included.  A miss means "no certificate within
+    bounds", nothing more.
 
-    The last level is decided without being built whenever its parents
-    have at most ``width`` candidate steps in all, so that no truncation
-    can happen there: only the one child that could accept is tried
-    (see _first_loose_child).  Results and width semantics are those of
-    building the level.
+    On the last level only an accepting child counts.  When its parents
+    have at most ``width`` candidate steps in all, no truncation can
+    happen there, so each parent tries only the one step that could
+    accept (see _loose_steps).  Results and width semantics are those
+    of building the level.
     """
     if depth < 0:
         raise CertifyError("depth must be nonnegative", depth=depth)
     if width < 1:
         raise CertifyError("width must be positive", width=width)
+    if _all_flagged(D):
+        return Certificate((), (), terminal_claim(D))
     seen = {D}
     frontier = [(D, (), ())]
-    for level in range(depth + 1):
-        for datum, moves, summary in frontier:
-            if _all_flagged(datum):
-                return Certificate(moves, summary, terminal_claim(datum))
-        if level == depth:
-            break
-        if level == depth - 1 and sum(
+    for level in range(1, depth + 1):
+        steps_of = _child_steps
+        if level == depth and sum(
                 len(_child_steps(datum)) for datum, _, _ in frontier) <= width:
-            return _first_loose_child(frontier)
+            steps_of = _loose_steps
         grown = []
         for datum, moves, summary in frontier:
             if len(grown) >= width:
                 break
             cycles = datum.cycles
-            for step, certs in _child_steps(datum):
+            for step, certs in steps_of(datum):
                 # only certify_loose steps carry entries; one whose lead
                 # is not a stabilization sphere would raise CertifyError
                 if certs and not cycles[step[1][0] - 1].stabilization_sphere:
@@ -411,6 +397,9 @@ def search_certificate(D, depth, width):
                     continue
                 if child in seen:
                     continue
+                if _all_flagged(child):
+                    return Certificate(moves + (step,), summary + certs,
+                                       terminal_claim(child))
                 seen.add(child)
                 grown.append((child, moves + (step,), summary + certs))
                 if len(grown) >= width:

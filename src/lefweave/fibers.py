@@ -135,7 +135,7 @@ class FiberModel(Immutable):
             i = self.basis_labels.index(label)
         except ValueError:
             raise FiberError("no basis sphere with this label", label=label)
-        return self.lattice.basis_sphere(i + 1, label=label)
+        return self.lattice.basis_sphere(i + 1)
 
     def __repr__(self):
         return "FiberModel(rank=%d, labels=%r)" % (
@@ -195,7 +195,7 @@ def attach_stabilizing_handle(fiber, pairings, label):
     stab[label] = pairings
     model = FiberModel(lattice, fiber.basis_labels + (label,), stab,
                        fiber.arc_system)
-    sphere = lattice.basis_sphere(rank + 1, label=label)
+    sphere = lattice.basis_sphere(rank + 1)
     object.__setattr__(model, "_handle", sphere)
     children[(pairings, label)] = model
     return model, sphere

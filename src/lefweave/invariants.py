@@ -164,8 +164,6 @@ def _middle_form(D, kernel):
 
 def form_invariants(matrix, symmetric):
     """(rank, |det| of the nondegenerate part, signature or None)."""
-    if not matrix:
-        return (0, 1, 0 if symmetric else None)
     divisors = [x for x in smith_normal_form(matrix)[0] if x]
     rank = len(divisors)
     abs_det = 1
@@ -229,8 +227,6 @@ def total_space_invariants(D):
 def _merge_torsion(t1, t2):
     """Combine two divisor chains into one canonical chain."""
     entries = list(t1) + list(t2)
-    if not entries:
-        return ()
     size = len(entries)
     diag = [[entries[i] if i == j else 0 for j in range(size)]
             for i in range(size)]

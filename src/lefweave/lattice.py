@@ -99,12 +99,12 @@ class IntLattice(Immutable):
         object.__setattr__(self, "rank", len(gram))
         object.__setattr__(self, "_centers", set())
 
-    def basis_sphere(self, i, label=None):
+    def basis_sphere(self, i):
         """The i-th basis class, 1-based to match the e1, e2, ... notation."""
         if not 1 <= i <= self.rank:
             raise LatticeError("basis index out of range", i=i, rank=self.rank)
         coords = tuple(1 if j == i - 1 else 0 for j in range(self.rank))
-        return SphereClass(coords, label=label or "e%d" % i)
+        return SphereClass(coords)
 
     def __eq__(self, other):
         return (
@@ -123,18 +123,16 @@ class IntLattice(Immutable):
 class SphereClass(Immutable):
     """An integer homology class; equality and hashing use coordinates only."""
 
-    __slots__ = ("coords", "label")
+    __slots__ = ("coords",)
 
-    def __init__(self, coords, label=None):
+    def __init__(self, coords):
         object.__setattr__(self, "coords", tuple(int(c) for c in coords))
-        object.__setattr__(self, "label", label)
 
     @classmethod
-    def _of(cls, coords, label=None):
+    def _of(cls, coords):
         """Build from a tuple of ints the engine computed: no coercion."""
         self = object.__new__(cls)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "label", label)
         return self
 
     def __eq__(self, other):
@@ -144,8 +142,6 @@ class SphereClass(Immutable):
         return hash(self.coords)
 
     def __repr__(self):
-        if self.label:
-            return "SphereClass(%r, %s)" % (self.coords, self.label)
         return "SphereClass(%r)" % (self.coords,)
 
 
@@ -277,7 +273,7 @@ def evaluate_word(L, w):
     result = w.base
     for center, exp in reversed(w.letters):
         result = twist_power(L, center, result, exp)
-    return SphereClass._of(result.coords)
+    return result
 
 
 def smith_normal_form(M):

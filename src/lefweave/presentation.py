@@ -146,8 +146,7 @@ class LefschetzDatum(Immutable):
 
 
 def _shift_class(s, before, after):
-    return SphereClass._of((0,) * before + s.coords + (0,) * after,
-                           label=s.label)
+    return SphereClass._of((0,) * before + s.coords + (0,) * after)
 
 
 def _embed_word(word, before, after):
@@ -226,8 +225,6 @@ def hurwitz_right(D, i):
 
 def rotate(D):
     """Cyclic shift: (V_1, V_2, ..., V_k) -> (V_2, ..., V_k, V_1)."""
-    if len(D.cycles) < 2:
-        return LefschetzDatum(D.fiber, D.cycles)
     return LefschetzDatum(D.fiber, D.cycles[1:] + D.cycles[:1])
 
 
@@ -301,8 +298,6 @@ def subflexibilize(D, disk_pairings):
             target.word.prepend(sphere, 2),
             twist_power(lattice, sphere, target.klass, 2))
         provenance.append((pos, label))
-    if attached == 0:
-        return LefschetzDatum(D.fiber, D.cycles, sf_spheres=D.sf_spheres)
     return LefschetzDatum(fiber, cycles, sf_spheres=provenance)
 
 

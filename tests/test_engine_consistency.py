@@ -88,7 +88,7 @@ def fresh_arc(arc):
 
 
 def fresh_class(s):
-    return SphereClass(list(s.coords), label=s.label)
+    return SphereClass(list(s.coords))
 
 
 def rebuilt(D):

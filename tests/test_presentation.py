@@ -203,6 +203,8 @@ def test_rotate():
     assert again == D
     empty = LefschetzDatum(fiber, ())
     assert rotate(empty) == empty
+    single = LefschetzDatum(fiber, (trivial_cycle(fiber, e2),))
+    assert rotate(single) == single
 
 
 def test_stabilize_frozen():
@@ -285,6 +287,11 @@ def test_subflexibilize_empty_and_length_errors():
     empty = LefschetzDatum(fiber, ())
     assert subflexibilize(empty, []) == empty
     D = a1_datum()
+    assert subflexibilize(D, [None, None]) == D
+    # an all-None step keeps the fiber and the provenance record
+    sf = subflexibilize(D, [(1,), None])
+    assert subflexibilize(sf, [None, None]) == sf
+    assert subflexibilize(sf, [None, None]).sf_spheres == ((1, "s1"),)
     for bad in ([(1,)], [(1,), (1,), (1,)], [(1, 0), (1,)]):
         try:
             subflexibilize(D, bad)

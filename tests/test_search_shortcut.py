@@ -1,10 +1,11 @@
 """search_certificate against a reference breadth-first search.
 
-The search decides its last level without building it (see
-certify._first_loose_child).  The reference below is the level loop
-that builds every level, kept here as the oracle: its results are the
-results the search must give, at every depth and width, on seeded arc
-data and on the x1/x2 presets.
+The search returns an accepting child as soon as it builds it, and on
+its last level it tries only the one step per parent that could accept
+(see certify._loose_steps).  The reference below is the level loop
+that builds every level before it looks for an accepting node, kept
+here as the oracle: its results are the results the search must give,
+at every depth and width, on seeded arc data and on the x1/x2 presets.
 
 ``width_bound`` is the guard's bound: the number of candidate steps of
 the last level's parents.  At or above it no truncation can happen, so
@@ -43,6 +44,11 @@ def reference_steps(D):
     return steps
 
 
+def all_flagged(D):
+    return all(c.loose_certified or c.stabilization_sphere
+               for c in D.cycles)
+
+
 def reference_search(D, depth, width):
     """Build every level; return (result, steps of the last parents).
 
@@ -54,8 +60,7 @@ def reference_search(D, depth, width):
     last_steps = None
     for level in range(depth + 1):
         for datum, moves, summary in frontier:
-            if all(c.loose_certified or c.stabilization_sphere
-                   for c in datum.cycles):
+            if all_flagged(datum):
                 return (Certificate(moves, summary, terminal_claim(datum)),
                         last_steps)
         if level == depth:
@@ -139,6 +144,17 @@ class CountingApply:
         return self.apply(D, step)
 
 
+class LastApply(CountingApply):
+    """Also keeps the datum the last call built, None if it raised."""
+
+    last = None
+
+    def __call__(self, D, step):
+        self.last = None
+        self.last = super().__call__(D, step)
+        return self.last
+
+
 def counted(monkeypatch, run, *args):
     counter = CountingApply()
     monkeypatch.setattr(certify, "apply_step", counter)
@@ -215,3 +231,18 @@ def test_depth_3_builds_far_fewer_nodes(monkeypatch):
     calls, ref_calls, last_steps = check(D, 3, 10000, monkeypatch)
     assert last_steps is not None
     assert 5 * calls < ref_calls
+
+
+# every (datum, depth) whose certificate at the benchmark's width has moves
+FINISHES = [(name, D, depth) for name, D in DATA for depth in (1, 2, 3)
+            for cert in [reference_search(D, depth, 10000)[0]]
+            if cert is not None and cert.moves]
+
+
+@pytest.mark.parametrize("name,D,depth", FINISHES,
+                         ids=["%s-%d" % (c[0], c[2]) for c in FINISHES])
+def test_search_stops_at_the_accepting_child(name, D, depth, monkeypatch):
+    recorder = LastApply()
+    monkeypatch.setattr(certify, "apply_step", recorder)
+    assert search_certificate(D, depth, 10000) is not None
+    assert recorder.last is not None and all_flagged(recorder.last)
