@@ -29,10 +29,12 @@ n = 1 mod 4 and +2 at n = 3 mod 4; with s the off-diagonal entries
 follow the diagonal's sign, so that Hurwitz moves, which act on the
 thimbles by elementary unimodular matrices, preserve Q at every n
 (cf. Seidel, Fukaya categories and Picard-Lefschetz theory, EMS 2008).
+
+All arithmetic is in integers: the signature of Q comes from
+fraction-free symmetric elimination (Bareiss, Math. Comp. 22 (1968)).
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import LefweaveError
 from .lattice import pairing, pairing_sign, smith_normal_form, \
@@ -175,40 +177,37 @@ def form_invariants(matrix, symmetric):
 
 
 def _signature(matrix):
-    """Signature of a symmetric integer matrix, by exact diagonalization."""
+    """Signature of a symmetric integer matrix, by fraction-free elimination.
+
+    Each trailing entry stays an integer minor of a matrix congruent to the
+    input, so every division is exact; a pivot over the last nonzero pivot
+    is an entry of a congruent diagonal form.
+    """
     size = len(matrix)
-    A = [[Fraction(x) for x in row] for row in matrix]
-    pos = neg = 0
+    A = [list(row) for row in matrix]
+    prev = 1
+    signature = 0
     for t in range(size):
         if A[t][t] == 0:
             fix = next(
                 (j for j in range(t + 1, size) if A[t][j] != 0), None)
             if fix is None:
                 continue
-            # make the diagonal entry nonzero; one of the two signs works
-            for sgn in (1, -1):
-                if A[t][t] + 2 * sgn * A[t][fix] + A[fix][fix] != 0:
-                    for j in range(size):
-                        A[t][j] += sgn * A[fix][j]
-                    for i in range(size):
-                        A[i][t] += sgn * A[i][fix]
-                    break
+            # make the diagonal entry nonzero; one of the two signs works,
+            # since 2a + d and -2a + d cannot both vanish when a != 0
+            sgn = 1 if 2 * A[t][fix] + A[fix][fix] != 0 else -1
+            for j in range(t, size):
+                A[t][j] += sgn * A[fix][j]
+            for i in range(t, size):
+                A[i][t] += sgn * A[i][fix]
         pivot = A[t][t]
-        if pivot > 0:
-            pos += 1
-        elif pivot < 0:
-            neg += 1
-        else:
-            continue
+        signature += 1 if (pivot > 0) == (prev > 0) else -1
         for i in range(t + 1, size):
-            if A[i][t] == 0:
-                continue
-            mult = A[i][t] / pivot
-            for j in range(size):
-                A[i][j] -= mult * A[t][j]
-            for j in range(size):
-                A[j][i] -= mult * A[j][t]
-    return pos - neg
+            Ai, ait = A[i], A[i][t]
+            for j in range(t + 1, size):
+                Ai[j] = (pivot * Ai[j] - ait * A[t][j]) // prev
+        prev = pivot
+    return signature
 
 
 def total_space_invariants(D):

@@ -368,3 +368,25 @@ def test_signature_repairs_zero_pivots():
         rank, _, signature = form_invariants(M, True)
         assert rank == sympy.Matrix(M).rank()
         assert signature == _sympy_signature(sympy, M), M
+    # large entries: the fraction-free pivots grow as minors, and every
+    # trailing division must stay exact
+    for _ in range(60):
+        size = rng.randint(2, 6)
+        M = [[0] * size for _ in range(size)]
+        for i in range(size):
+            M[i][i] = rng.choice((0, rng.randint(-10**6, 10**6)))
+            for j in range(i + 1, size):
+                M[i][j] = M[j][i] = rng.randint(-10**6, 10**6)
+        assert form_invariants(M, True)[2] == _sympy_signature(sympy, M), M
+    # rank deficiency: a sum of r < size signed squares, so some rows
+    # reduce to zero and the elimination must skip them
+    for _ in range(80):
+        size = rng.randint(2, 6)
+        terms = [(rng.choice((-1, 1)),
+                  [rng.choice((0, rng.randint(-50, 50))) for _ in range(size)])
+                 for _ in range(rng.randint(0, size - 1))]
+        M = [[sum(s * v[i] * v[j] for s, v in terms) for j in range(size)]
+             for i in range(size)]
+        rank, _, signature = form_invariants(M, True)
+        assert rank == sympy.Matrix(M).rank() < size
+        assert signature == _sympy_signature(sympy, M), M

@@ -50,7 +50,8 @@ def all_flagged(D):
 
 
 def reference_search(D, depth, width):
-    """Build every level; return (result, steps of the last parents).
+    """Build every level; return (result, steps of the last parents,
+    new distinct nodes per level built).
 
     The second value is None unless the loop reached the level before
     the last one without accepting.
@@ -58,11 +59,12 @@ def reference_search(D, depth, width):
     seen = {D}
     frontier = [(D, (), ())]
     last_steps = None
+    sizes = []
     for level in range(depth + 1):
         for datum, moves, summary in frontier:
             if all_flagged(datum):
                 return (Certificate(moves, summary, terminal_claim(datum)),
-                        last_steps)
+                        last_steps, tuple(sizes))
         if level == depth:
             break
         if level == depth - 1:
@@ -86,8 +88,9 @@ def reference_search(D, depth, width):
                     break
         if not grown:
             break
+        sizes.append(len(grown))
         frontier = grown
-    return None, last_steps
+    return None, last_steps, tuple(sizes)
 
 
 def width_bound(D, depth):
@@ -167,7 +170,7 @@ def counted(monkeypatch, run, *args):
 def check(D, depth, width, monkeypatch):
     """Compare with the reference; return the search's and the
     reference's apply_step calls and the reference's last-level steps."""
-    (expected, last_steps), ref_calls = counted(
+    (expected, last_steps, _), ref_calls = counted(
         monkeypatch, reference_search, D, depth, width)
     found, calls = counted(monkeypatch, search_certificate, D, depth, width)
     assert found == expected
@@ -246,3 +249,31 @@ def test_search_stops_at_the_accepting_child(name, D, depth, monkeypatch):
     monkeypatch.setattr(certify, "apply_step", recorder)
     assert search_certificate(D, depth, 10000) is not None
     assert recorder.last is not None and all_flagged(recorder.last)
+
+
+# New distinct nodes per level of an uncapped reference search, up to
+# the level that accepts or the depth.  Every count rests on datum and
+# cycle equality: a key that drops a flag, an arc or sf_spheres merges
+# nodes and moves some count.
+SHAPES = (
+    ("x1", 5, (7, 44, 302, 2390, 20771)),
+    ("x2", 3, (13, 138)),
+    ("x1_plus_cycle", 3, (9, 73)),
+    ("m3-k1-0", 3, (2, 16, 122)),
+    ("m3-k2-3", 3, (7, 43, 297)),
+    ("m3-k3-6", 3, (9, 68, 483)),
+    ("m4-k1-9", 3, (3, 27, 227)),
+    ("m4-k2-10", 3, (8, 58, 488)),
+    ("m4-k3-15", 3, (10, 88, 770)),
+    ("m5-k1-18", 3, (4, 40, 386)),
+    ("m5-k2-21", 3, (9, 73, 707)),
+    ("m5-k3-24", 3, (11, 108)),
+    ("m5-k3-25", 3, (11, 105, 1005)),
+)
+SHAPE_DATA = dict(DATA + [("x1_plus_cycle", presets.preset("x1_plus_cycle"))])
+
+
+@pytest.mark.parametrize("name,depth,sizes", SHAPES,
+                         ids=[name for name, _, _ in SHAPES])
+def test_search_shape_is_pinned(name, depth, sizes):
+    assert reference_search(SHAPE_DATA[name], depth, 10 ** 9)[2] == sizes
