@@ -32,8 +32,7 @@ from .dsl import parse
 from .fibers import PlumbingTree, ak_matching_fiber, plumbing_lattice
 from .invariants import total_space_invariants
 from .lattice import TwistWord
-from .presentation import LefschetzDatum, VanishingCycle, stabilize_label, \
-    trivial_cycle
+from .presentation import LefschetzDatum, VanishingCycle, stabilize_label
 from .presets import preset
 
 
@@ -50,32 +49,33 @@ def _build_fiber(payload):
 
 def _build_cycle(fiber, ast):
     letters, inner = ast
-    if letters:
-        spheres = {label: fiber.basis_sphere(label)
-                   for label in dict.fromkeys(label for label, _ in letters)}
-        word = _build_cycle(fiber, ((), inner)).word
-        # one freely reducing pass over the letters, then the inner word's
-        return VanishingCycle(fiber.lattice, TwistWord(
-            [(spheres[label], exp) for label, exp in letters]
-            + list(word.letters), word.base))
+    spheres = {label: fiber.basis_sphere(label)
+               for label in dict.fromkeys(label for label, _ in letters)}
     if inner[0] == "basis":
-        return trivial_cycle(fiber, fiber.basis_sphere(inner[1]))
-    _, i, j, label = inner
-    system = fiber.arc_system
-    if system is None:
-        raise CliError("this fiber has no arc system", label=label)
-    try:
-        arc = system.catalogue[label]
-    except KeyError:
-        raise CliError("unknown catalogue arc %r" % label,
-                       known=sorted(system.catalogue))
-    # catalogue arcs are the standard edges
-    endpoints = (arc.base_index, arc.base_index + 1)
-    if endpoints != tuple(sorted((i, j))):
-        raise CliError(
-            "catalogue arc %r joins points %s, not (%d, %d)"
-            % (label, endpoints, i, j))
-    return VanishingCycle(fiber.lattice, induced_word(system, arc), arc=arc)
+        word, arc = TwistWord((), fiber.basis_sphere(inner[1])), None
+    else:
+        _, i, j, label = inner
+        system = fiber.arc_system
+        if system is None:
+            raise CliError("this fiber has no arc system", label=label)
+        try:
+            arc = system.catalogue[label]
+        except KeyError:
+            raise CliError("unknown catalogue arc %r" % label,
+                           known=sorted(system.catalogue))
+        # catalogue arcs are the standard edges
+        endpoints = (arc.base_index, arc.base_index + 1)
+        if endpoints != tuple(sorted((i, j))):
+            raise CliError(
+                "catalogue arc %r joins points %s, not (%d, %d)"
+                % (label, endpoints, i, j))
+        word = induced_word(system, arc)
+    if letters:
+        # one freely reducing pass over the letters, then the inner word's
+        word, arc = TwistWord(
+            [(spheres[label], exp) for label, exp in letters]
+            + list(word.letters), word.base), None
+    return VanishingCycle(fiber.lattice, word, arc=arc)
 
 
 def _step_to_move(step, current, values):

@@ -32,10 +32,10 @@ from lefweave.certify import (
     search_certificate,
     verify_certificate,
 )
-from lefweave.fibers import PlumbingTree, attach_stabilizing_handle, \
-    plumbing_lattice
+from lefweave.fibers import FiberModel, PlumbingTree, \
+    attach_stabilizing_handle, plumbing_lattice
 from lefweave.invariants import total_space_invariants
-from lefweave.lattice import SphereClass, TwistWord
+from lefweave.lattice import IntLattice, SphereClass, TwistWord
 from lefweave.presentation import (
     LefschetzDatum,
     VanishingCycle,
@@ -227,6 +227,16 @@ def test_verify_reports_failing_step():
     assert res.reason.startswith("step 1")
     bad_tag = Certificate((("warp", ()),), (), "flexible")
     assert not verify_certificate(D, bad_tag).accepted
+    fiber, s = handle_fiber()
+    one = LefschetzDatum(
+        fiber, (trivial_cycle(fiber, s, stabilization_sphere=True),))
+    for datum, step, reason in (
+            (one, ("certify_loose", (1,)),
+             "need at least two cycles to certify"),
+            (D, ("bsum", ("X",)), "bsum argument must be a datum")):
+        res = verify_certificate(datum, Certificate((step,), (), "flexible"))
+        assert not res.accepted
+        assert res.reason == "step 1: " + reason
 
 
 def test_verify_rejects_wrong_arity_steps():
@@ -387,6 +397,19 @@ def test_bsum_certificate():
     assert res.accepted
     assert len(res.final.cycles) == 2
     assert res.final.fiber.lattice.rank == 4
+
+
+def test_bsum_with_an_empty_summand():
+    # either order leaves x2, so x2's certificate follows the bsum
+    empty = LefschetzDatum(FiberModel(IntLattice((), 2), ()), ())
+    x2 = presets.x2()
+    steps = (("hurwitz_right", (2,)), ("certify_loose", (2,)))
+    for D, other in ((x2, empty), (empty, x2)):
+        cert = Certificate((("bsum", (other,)),) + steps,
+                           ((3, "loose_pair"),), "flexible")
+        res = verify_certificate(D, cert)
+        assert res.accepted, res.reason
+        assert res.final.fiber.lattice.gram == x2.fiber.lattice.gram
 
 
 def test_search_finds_x2_certificate():

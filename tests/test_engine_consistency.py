@@ -20,8 +20,8 @@ certify_loose, insert_sphere, subflex and bsum steps come in two kinds
 (see planned_steps): some with drawn or wrong arguments, which the
 rules mostly reject, and some with arguments planned to fit.  When the
 engine rejects a step, the shadow must reject it too.  The shadow is
-driven through its own entry points (certify._shadow_state,
-certify._sh_apply and certify._eval) and compared here, with no engine
+driven through its own entry points (shadow._shadow_state,
+shadow._sh_apply and shadow._eval) and compared here, with no engine
 helper in between.
 """
 
@@ -30,7 +30,7 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lefweave import certify
+from lefweave import certify, shadow
 from lefweave.arcs import MatchingArc, apply_half_twist, induced_word, \
     standard_arc
 from lefweave.fibers import ak_matching_fiber
@@ -183,11 +183,11 @@ def check_shadow(state, D):
     assert [tuple(row) for row in gram] == list(D.fiber.lattice.gram)
     assert state["labels"] == list(D.fiber.basis_labels)
     assert len(state["cycles"]) == len(D.cycles)
-    for shadow, cyc in zip(state["cycles"], D.cycles):
-        assert certify._eval(gram, n, shadow.letters, shadow.base) \
+    for replayed, cyc in zip(state["cycles"], D.cycles):
+        assert shadow._eval(gram, n, replayed.letters, replayed.base) \
             == cyc.klass.coords
-        assert (shadow.stab, shadow.loose) == (cyc.stabilization_sphere,
-                                               cyc.loose_certified)
+        assert (replayed.stab, replayed.loose) == (cyc.stabilization_sphere,
+                                                   cyc.loose_certified)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,7 +196,7 @@ def test_random_moves_keep_engine_consistent(scenario):
     m, n, cycles, steps, other = scenario
     D = build(m, n, cycles)
     check_consistent(D)
-    state = certify._shadow_state(D)
+    state = shadow._shadow_state(D)
     check_shadow(state, D)
     for number, drawn in enumerate(steps):
         for step in planned_steps(D, *drawn, number, other):
@@ -205,11 +205,11 @@ def test_random_moves_keep_engine_consistent(scenario):
             except (certify.CertifyError, MoveError):
                 # a rejected step: the shadow rejects it too and, like
                 # the engine, keeps its state
-                with pytest.raises(certify.CertifyError):
-                    certify._sh_apply(state, step)
+                with pytest.raises(shadow.ShadowError):
+                    shadow._sh_apply(state, step)
                 check_shadow(state, D)
                 continue
-            certify._sh_apply(state, step)
+            shadow._sh_apply(state, step)
             check_consistent(D)
             check_shadow(state, D)
 
@@ -223,9 +223,9 @@ def test_rejected_shadow_subflex_keeps_its_state():
     step = ("subflex", ([(1, 0), (0, 0)],))
     with pytest.raises(MoveError):
         certify.apply_step(D, step)
-    state = certify._shadow_state(D)
+    state = shadow._shadow_state(D)
     before = copy.deepcopy(state)
-    with pytest.raises(certify.CertifyError, match="meet its cycle once"):
-        certify._sh_apply(state, step)
+    with pytest.raises(shadow.ShadowError, match="meet its cycle once"):
+        shadow._sh_apply(state, step)
     assert state == before
     check_shadow(state, D)

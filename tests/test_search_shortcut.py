@@ -277,3 +277,25 @@ SHAPE_DATA = dict(DATA + [("x1_plus_cycle", presets.preset("x1_plus_cycle"))])
                          ids=[name for name, _, _ in SHAPES])
 def test_search_shape_is_pinned(name, depth, sizes):
     assert reference_search(SHAPE_DATA[name], depth, 10 ** 9)[2] == sizes
+
+
+def test_x1_has_no_certificate_within_6_steps():
+    """An exhaustive miss: no level of the search is truncated.
+
+    Levels 1-5 are x1's pinned uncapped levels, each far below the
+    width.  A step adds at most one cycle and one basis sphere, so
+    after 5 steps from x1's 2 cycles over a rank-2 fiber k <= 7 and
+    rank <= 7, and a datum has at most 1 + 3k + rank = 29 candidate
+    steps.  The level-5 parents' steps fit in the width, so the search
+    takes its last-level shortcut, which drops only steps that cannot
+    accept.
+    """
+    width = 10 ** 9
+    name, depth, sizes = SHAPES[0]
+    assert (name, depth) == ("x1", 5)
+    D = presets.x1()
+    assert (len(D.cycles), D.fiber.lattice.rank) == (2, 2)
+    assert max(sizes) < width
+    k = rank = 2 + depth
+    assert sizes[-1] * (1 + 3 * k + rank) == 602359 <= width
+    assert search_certificate(D, depth + 1, width) is None

@@ -1,19 +1,20 @@
 """The shadow interpreter: its disagreements reject, and it stays apart.
 
 verify_certificate replays a certificate twice, through the move engine
-and through the shadow in certify.py, and rejects when the two differ.
+and through the shadow in shadow.py, and rejects when the two differ.
 The tests below make the engine lie in one way at a time: each wraps
 certify.rule_loose_pair, which the step table calls through the module
 name, so the engine pass completes and only the shadow can object.
 
 The shadow is a check only while it shares no code with the engine; the
-last test reads its definitions from the source and guards that.
+last test reads shadow.py and guards that.
 """
 
 import ast
 import inspect
+import sys
 
-from lefweave import certify, presets
+from lefweave import certify, presets, shadow
 from lefweave.certify import Certificate, verify_certificate
 from lefweave.fibers import FiberModel
 from lefweave.lattice import IntLattice, SphereClass
@@ -111,46 +112,29 @@ def test_an_unchecked_certification_rejects(monkeypatch):
 
 # --- independence ------------------------------------------------------
 
-# what the shadow may use of certify.py besides its own definitions
-SHADOW_IMPORTS = {"CertifyError", "namedtuple"}
-
-
-def shadow_section():
-    """certify.py's module-level names, and its top-level definitions
-    from _ShadowCycle through _shadow_check."""
-    tree = ast.parse(inspect.getsource(certify))
-    names = {}
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                names[(alias.asname or alias.name).split(".")[0]] = node
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names[node.name] = node
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names[target.id] = node
-    body = tree.body
-    start = body.index(names["_ShadowCycle"])
-    stop = body.index(names["_shadow_check"])
-    return set(names), body[start:stop + 1]
+# the move engine's kernels, which the shadow re-derives on its own
+ENGINE_NAMES = {"pairing", "twist_power", "evaluate_word",
+                "sphere_self_pairing", "pairing_sign", "plumbing_gram"}
 
 
 def test_shadow_loads_no_engine_name():
-    module_names, section = shadow_section()
-    own = set()
-    for node in section:
-        if isinstance(node, ast.Assign):
-            own.update(t.id for t in node.targets)
-        else:
-            own.add(node.name)
-    assert {"_shadow_state", "_dot", "_twist", "_sh_apply"} <= own
-    assert SHADOW_IMPORTS <= module_names
-    allowed = own | SHADOW_IMPORTS
-    for node in section:
-        loaded = {n.id for n in ast.walk(node)
-                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        leaks = (loaded & module_names) - allowed
-        assert not leaks, "%s uses %s" % (getattr(
-            node, "name", "_ShadowCycle"), sorted(leaks))
-
+    """shadow.py imports only the standard library and LefweaveError,
+    and names no engine kernel."""
+    tree = ast.parse(inspect.getsource(shadow))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, \
+                    alias.name
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.level:
+                assert (node.level, node.module, names) == \
+                    (1, None, ["LefweaveError"]), (node.module, names)
+            else:
+                assert node.module.split(".")[0] in sys.stdlib_module_names, \
+                    node.module
+        elif isinstance(node, ast.Name):
+            assert node.id not in ENGINE_NAMES, node.id
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in ENGINE_NAMES, node.attr

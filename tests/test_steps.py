@@ -111,4 +111,4 @@ def test_every_error_derives_from_lefweave_error():
                     and obj.__module__ == module.__name__):
                 found.append(name)
                 assert issubclass(obj, lefweave.LefweaveError), name
-    assert len(found) == 9, found
+    assert len(found) == 10, found
