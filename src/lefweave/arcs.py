@@ -21,8 +21,7 @@ half-twist history gives.
 """
 
 from . import LefweaveError
-from .lattice import IntLattice, SphereClass, TwistWord, plumbing_gram, \
-    twist_power
+from .lattice import SphereClass, TwistWord, plumbed, twist_power
 
 
 class ArcError(LefweaveError):
@@ -166,7 +165,7 @@ class ArcSystem:
         self.m = m
         self.n = n
         chain = [(k, k + 1, 1) for k in range(m - 2)]
-        self.lattice = IntLattice(plumbing_gram(m - 1, chain, n), n)
+        self.lattice = plumbed(m - 1, chain, n)
         self.catalogue = {}
         for k in range(1, m):
             self.catalogue["a%d" % k] = MatchingArc(self, k)

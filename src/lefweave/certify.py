@@ -25,7 +25,6 @@ from . import LefweaveError
 from .lattice import pairing
 from .presentation import (
     LefschetzDatum,
-    VanishingCycle,
     boundary_connect_sum,
     hurwitz_left,
     hurwitz_right,
@@ -90,10 +89,7 @@ def rule_loose_pair(D, i):
             "sphere must meet the underlying class exactly once",
             i=i, pairing=hits)
     cycles = list(D.cycles)
-    cycles[b] = VanishingCycle._derived(
-        follow.word, follow.klass, arc=follow.arc,
-        stabilization_sphere=follow.stabilization_sphere,
-        loose_certified=True)
+    cycles[b] = follow.as_loose()
     return LefschetzDatum(D.fiber, cycles, sf_spheres=D.sf_spheres)
 
 

@@ -17,12 +17,20 @@ import weakref
 
 from . import Immutable, LefweaveError
 from .arcs import ArcSystem
-from .lattice import IntLattice, pairing_sign, plumbing_gram, \
-    sphere_self_pairing
+from .lattice import bordered, plumbed
 
 
 class FiberError(LefweaveError):
     """Raised for malformed trees, pairings, or labels."""
+
+
+def _distinct(labels, what):
+    """set(labels), with a FiberError naming ``what`` for an unhashable one."""
+    try:
+        return set(labels)
+    except TypeError:
+        raise FiberError("%s must be hashable" % what,
+                         labels=labels) from None
 
 
 class PlumbingTree(Immutable):
@@ -37,7 +45,7 @@ class PlumbingTree(Immutable):
         vertices = tuple(vertices)
         if not vertices:
             raise FiberError("plumbing tree needs at least one vertex")
-        if len(set(vertices)) != len(vertices):
+        if len(_distinct(vertices, "vertex labels")) != len(vertices):
             raise FiberError("duplicate vertex labels", vertices=vertices)
         index = {v: i for i, v in enumerate(vertices)}
         parent = list(range(len(vertices)))
@@ -58,7 +66,11 @@ class PlumbingTree(Immutable):
             else:
                 raise FiberError("edge must be (u, v) or (u, v, sign)",
                                  edge=edge)
-            if u not in index or v not in index:
+            try:
+                known = u in index and v in index
+            except TypeError:  # an unhashable end is no vertex
+                known = False
+            if not known:
                 raise FiberError("edge references unknown vertex", edge=edge)
             if u == v:
                 raise FiberError("self-loop is not a plumbing", edge=edge)
@@ -104,7 +116,7 @@ class FiberModel(Immutable):
         if len(basis_labels) != lattice.rank:
             raise FiberError("one label per basis vector required",
                              labels=basis_labels, rank=lattice.rank)
-        if len(set(basis_labels)) != len(basis_labels):
+        if len(_distinct(basis_labels, "basis labels")) != len(basis_labels):
             raise FiberError("duplicate basis labels", labels=basis_labels)
         stab = dict(stabilizing_spheres or {})
         for label in stab:
@@ -148,8 +160,7 @@ def plumbing_lattice(tree, n):
         raise FiberError("fiber dimension must be positive", n=n)
     index = {v: i for i, v in enumerate(tree.vertices)}
     edges = [(index[u], index[v], sign) for u, v, sign in tree.edges]
-    gram = plumbing_gram(len(tree.vertices), edges, n)
-    return FiberModel(IntLattice(gram, n), tree.vertices)
+    return FiberModel(plumbed(len(tree.vertices), edges, n), tree.vertices)
 
 
 def attach_stabilizing_handle(fiber, pairings, label):
@@ -180,17 +191,13 @@ def attach_stabilizing_handle(fiber, pairings, label):
                          expected=rank, got=len(pairings))
     if label in fiber.basis_labels:
         raise FiberError("label already used in this fiber", label=label)
-    model = children.get((pairings, label))
+    try:
+        model = children.get((pairings, label))
+    except TypeError:
+        raise FiberError("label must be hashable", label=label) from None
     if model is not None:
         return model, model._handle
-    n = fiber.lattice.n
-    old = fiber.lattice.gram
-    flip = pairing_sign(n)
-    gram = tuple(
-        old[i] + (flip * pairings[i],) for i in range(rank)
-    ) + (pairings + (sphere_self_pairing(n),),)
-    # a valid gram bordered by the sign rule stays valid: no re-check
-    lattice = IntLattice._of(gram, n)
+    lattice = bordered(fiber.lattice, pairings)
     stab = dict(fiber.stabilizing_spheres)
     stab[label] = pairings
     model = FiberModel(lattice, fiber.basis_labels + (label,), stab,

@@ -1,5 +1,8 @@
 """Exact integer lattice algebra: pairings, twist automorphisms, word evaluation, SNF.
 
+Every lattice is built or grown here: plumbed, bordered by a handle,
+or summed orthogonally, with classes and words padded to match.
+
 Conventions, fixed once here and relied on everywhere else:
 
 - ``n`` is half the fiber dimension.  The pairing sign rule: on middle
@@ -39,22 +42,6 @@ def sphere_self_pairing(n):
     if n % 2 == 1:
         return 0
     return 2 if (n * (n + 1) // 2) % 2 == 0 else -2
-
-
-def plumbing_gram(rank, edges, n):
-    """Gram rows of ``rank`` spheres plumbed along (i, j, sign) edges.
-
-    Indices are 0-based.  Each edge is one transverse point, oriented by
-    ascending index; the lower triangle follows by the sign rule.
-    """
-    diag = sphere_self_pairing(n)
-    flip = pairing_sign(n)
-    gram = [[diag if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j, sign in edges:
-        lo, hi = min(i, j), max(i, j)
-        gram[lo][hi] = sign
-        gram[hi][lo] = flip * sign
-    return tuple(tuple(row) for row in gram)
 
 
 def _as_int_rows(rows):
@@ -120,6 +107,44 @@ class IntLattice(Immutable):
         return "IntLattice(rank=%d, n=%d)" % (self.rank, self.n)
 
 
+def plumbed(rank, edges, n):
+    """The lattice of ``rank`` spheres plumbed along (i, j, sign) edges.
+
+    Indices are 0-based.  Each edge is one transverse point, oriented by
+    ascending index; the lower triangle follows by the sign rule.
+    """
+    diag = sphere_self_pairing(n)
+    flip = pairing_sign(n)
+    gram = [[diag if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j, sign in edges:
+        lo, hi = min(i, j), max(i, j)
+        gram[lo][hi] = sign
+        gram[hi][lo] = flip * sign
+    return IntLattice(gram, n)
+
+
+def bordered(L, pairings):
+    """L grown by one sphere s, last, with <s, b_j> = pairings[j].
+
+    ``pairings`` is a tuple of ints, one per basis vector of L; s has
+    the sphere self-pairing.  A valid Gram bordered by the sign rule
+    stays valid, so the rows are not checked again.
+    """
+    n = L.n
+    flip = pairing_sign(n)
+    gram = tuple(row + (flip * p,) for row, p in zip(L.gram, pairings)) \
+        + (pairings + (sphere_self_pairing(n),),)
+    return IntLattice._of(gram, n)
+
+
+def orthogonal_sum(L1, L2):
+    """L1's basis, then L2's, no pairing between them; rows are checked."""
+    r1, r2 = L1.rank, L2.rank
+    gram = tuple(row + (0,) * r2 for row in L1.gram) \
+        + tuple((0,) * r1 + row for row in L2.gram)
+    return IntLattice(gram, L1.n)
+
+
 class SphereClass(Immutable):
     """An integer homology class; equality and hashing use coordinates only."""
 
@@ -140,6 +165,10 @@ class SphereClass(Immutable):
 
     def __hash__(self):
         return hash(self.coords)
+
+    def padded(self, before, after):
+        """The class with ``before`` zeros in front and ``after`` behind."""
+        return SphereClass._of((0,) * before + self.coords + (0,) * after)
 
     def __repr__(self):
         return "SphereClass(%r)" % (self.coords,)
@@ -200,6 +229,12 @@ class TwistWord(Immutable):
             return TwistWord._of(((letters[0][0], merged),) + letters[1:],
                                  self.base)
         return TwistWord._of(((center, exp),) + letters, self.base)
+
+    def padded(self, before, after):
+        """The word with every center and the base padded alike."""
+        return TwistWord._of(
+            tuple((c.padded(before, after), e) for c, e in self.letters),
+            self.base.padded(before, after))
 
     def __eq__(self, other):
         return (

@@ -13,8 +13,8 @@ positions are 1-based and cyclic: position i acts on the adjacent pair
 from . import Immutable, LefweaveError
 from .arcs import apply_half_twist
 from .fibers import FiberModel, attach_stabilizing_handle
-from .lattice import IntLattice, SphereClass, TwistWord, evaluate_word, \
-    pairing, twist_power
+from .lattice import TwistWord, evaluate_word, orthogonal_sum, pairing, \
+    twist_power
 
 
 class MoveError(LefweaveError):
@@ -26,12 +26,12 @@ class VanishingCycle(Immutable):
 
     Invariant: ``klass == evaluate_word(lattice, word)``.  The public
     constructor evaluates the word.  The moves below instead derive the
-    class of a new cycle from cached classes, by one twist or a shift
+    class of a new cycle from cached classes, by one twist or by padding
     into a larger lattice, which gives the same value exactly.  The
     engine-consistency tests check the invariant after random moves, and
     verify_certificate's independent replay re-evaluates every word.
     ``stabilization_sphere`` marks cycles introduced by a stabilize step;
-    ``loose_certified`` is set by the certificate layer.
+    ``loose_certified`` is set by the certificate layer, via as_loose.
     """
 
     __slots__ = ("word", "klass", "arc", "stabilization_sphere",
@@ -60,6 +60,13 @@ class VanishingCycle(Immutable):
         object.__setattr__(self, "_hash", None)
         # this cycle embedded by (0, 1), shared by every stabilize child
         object.__setattr__(self, "_grown", None)
+
+    def as_loose(self):
+        """This cycle, certified loose."""
+        return VanishingCycle._derived(
+            self.word, self.klass, arc=self.arc,
+            stabilization_sphere=self.stabilization_sphere,
+            loose_certified=True)
 
     def _key(self):
         return (self.word, self.arc, self.stabilization_sphere,
@@ -145,27 +152,16 @@ class LefschetzDatum(Immutable):
             self.fiber.lattice.rank, len(self.cycles), self.n)
 
 
-def _shift_class(s, before, after):
-    return SphereClass._of((0,) * before + s.coords + (0,) * after)
-
-
-def _embed_word(word, before, after):
-    return TwistWord._of(
-        tuple((_shift_class(c, before, after), e) for c, e in word.letters),
-        _shift_class(word.base, before, after),
-    )
-
-
 def _embed_cycle(cyc, before, after, keep_arc=True):
     """The cycle in a lattice grown by ``before`` and ``after`` new basis
     vectors around the old ones, with no old pairing changed.
 
-    Every center stays orthogonal to the new vectors, so each twist acts
-    on the shifted coordinates as before: the class is the shifted class.
+    Classes padded with zeros pair as before, so each twist acts on the
+    padded coordinates as before: the class is the padded class.
     """
     return VanishingCycle._derived(
-        _embed_word(cyc.word, before, after),
-        _shift_class(cyc.klass, before, after),
+        cyc.word.padded(before, after),
+        cyc.klass.padded(before, after),
         arc=cyc.arc if keep_arc else None,
         stabilization_sphere=cyc.stabilization_sphere,
         loose_certified=cyc.loose_certified,
@@ -316,13 +312,7 @@ def boundary_connect_sum(D1, D2):
     for lab in D2.fiber.basis_labels:
         rename[lab] = _fresh_label(lab, labels)
         labels.append(rename[lab])
-    g1, g2 = D1.fiber.lattice.gram, D2.fiber.lattice.gram
-    gram = tuple(
-        tuple(g1[i]) + (0,) * r2 for i in range(r1)
-    ) + tuple(
-        (0,) * r1 + tuple(g2[i]) for i in range(r2)
-    )
-    lattice = IntLattice(gram, D1.n)
+    lattice = orthogonal_sum(D1.fiber.lattice, D2.fiber.lattice)
     stab = dict(D1.fiber.stabilizing_spheres)
     for lab, vec in D2.fiber.stabilizing_spheres.items():
         stab[rename[lab]] = vec

@@ -304,23 +304,35 @@ def test_format_move_all_tags():
     assert format_move(("bsum", (None,))) == "bsum <datum>"
 
 
-def test_run_catalogue_arc_matches_basis_twin(tmp_path):
-    def run_file(name, cycle):
+HURWITZ_SCRIPT = "script s on A {\n  hurwitzL 1;\n}\nverify s\n"
+
+
+@pytest.mark.parametrize("cycles,twin,script,code", (
+    ("arc(1,2; a1), e2", "e1, e2", "", 0),
+    ("arc(2,1; a1), e2", "e1, e2", "", 0),
+    ("tw(e2)^2 arc(1,2; a1), e2", "tw(e2)^2 e1, e2", "", 0),
+    # the move half-twists one arc about the other; verify rejects
+    ("arc(1,2; a1), arc(2,3; a2)", "e1, e2", HURWITZ_SCRIPT, 1),
+), ids=("arc", "reversed-ends", "twisted-arc", "hurwitz-on-arcs"))
+def test_run_catalogue_arc_matches_basis_twin(tmp_path, cycles, twin,
+                                              script, code):
+    def run_file(name, cycles):
         path = tmp_path / name
         path.write_text(
             "fiber a3 = ak 4 n=2\n"
-            "datum A over a3 = [%s, e2]\n"
-            "print invariants A\n" % cycle, encoding="utf-8")
+            "datum A over a3 = [%s]\n"
+            "%sprint invariants %s\n"
+            % (cycles, script, "s" if script else "A"), encoding="utf-8")
         return subprocess.run(
             [sys.executable, "-m", "lefweave.cli", "run", str(path)],
             cwd=REPO, capture_output=True)
 
-    arc = run_file("arc.lef", "arc(1,2; a1)")
-    twin = run_file("twin.lef", "e1")
-    assert arc.returncode == 0 and arc.stderr == b"", arc.stderr
-    assert twin.returncode == 0
+    arc = run_file("arc.lef", cycles)
+    basis = run_file("twin.lef", twin)
+    assert (arc.returncode, arc.stderr) == (code, b""), arc.stderr
+    assert (basis.returncode, basis.stderr) == (code, b"")
     assert json.loads(arc.stdout)["results"] == \
-        json.loads(twin.stdout)["results"]
+        json.loads(basis.stdout)["results"]
 
 
 @pytest.mark.parametrize("fiber,cycle,message", (

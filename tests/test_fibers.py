@@ -84,6 +84,19 @@ def test_tree_validation():
     assert F.lattice.gram == ((-2, 0), (0, -2))
 
 
+@pytest.mark.parametrize("build", (
+    lambda: PlumbingTree([["a"], "b"]),
+    lambda: PlumbingTree(["a", "b"], [(["a"], "b")]),
+    lambda: FiberModel(plumbing_lattice(PlumbingTree(["a"]), 2).lattice,
+                       [["a"]]),
+    lambda: attach_stabilizing_handle(
+        plumbing_lattice(PlumbingTree.path(2), 2), (1, 0), ["x"]),
+), ids=("vertex", "edge-end", "basis-label", "handle-label"))
+def test_an_unhashable_label_is_a_fiber_error(build):
+    with pytest.raises(FiberError):
+        build()
+
+
 def test_edge_signs():
     tree = PlumbingTree(["u", "v"], [("u", "v", -1)])
     F = plumbing_lattice(tree, 2)

@@ -6,20 +6,26 @@ SNF tests additionally compare invariant factors against sympy as an
 independent oracle.
 """
 
+import ast
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
 
+import lefweave
 from lefweave.lattice import (
     IntLattice,
     LatticeError,
     SphereClass,
     TwistWord,
+    bordered,
     dehn_twist,
     evaluate_word,
+    orthogonal_sum,
     pairing,
+    plumbed,
     smith_normal_form,
 )
 
@@ -269,3 +275,72 @@ def test_involution_even_and_transvection_odd():
             x_o.coords[i] + 2 * m * S_o.coords[i] for i in range(rank)
         )
         assert twice.coords == expected
+
+
+# --- growth: plumbed, bordered, orthogonal_sum, padded -------------------
+
+
+def _random_word(rng, L):
+    """A word of basis-sphere twists of L on a random class."""
+    letters = [(L.basis_sphere(rng.randint(1, L.rank)), rng.randint(-2, 2))
+               for _ in range(rng.randint(0, 4))]
+    base = SphereClass(tuple(rng.randint(-3, 3) for _ in range(L.rank)))
+    return TwistWord(letters, base)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_grown_lattices_pass_the_validating_constructor(n):
+    rng = random.Random(n)
+    chain = [plumbed(3, [(0, 1, 1), (1, 2, -1)], n)]
+    for _ in range(3):
+        L = chain[-1]
+        chain.append(bordered(
+            L, tuple(rng.randint(-2, 2) for _ in range(L.rank))))
+    # bordered trusts its rows: the validating constructor must agree
+    for L in chain + [orthogonal_sum(chain[1], chain[3])]:
+        assert IntLattice(L.gram, L.n) == L
+    assert [L.rank for L in chain] == [3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_padded_words_evaluate_to_padded_classes(n):
+    rng = random.Random(10 + n)
+    L = plumbed(3, [(0, 1, 1), (1, 2, 1)], n)
+    grown = bordered(L, tuple(rng.randint(-2, 2) for _ in range(3)))
+    other = plumbed(2, [(0, 1, -1)], n)
+    total = orthogonal_sum(L, other)
+    for _ in range(40):
+        w = _random_word(rng, L)
+        x = evaluate_word(L, w)
+        assert evaluate_word(grown, w.padded(0, 1)) == x.padded(0, 1)
+        assert evaluate_word(total, w.padded(0, 2)) == x.padded(0, 2)
+        v = _random_word(rng, other)
+        assert evaluate_word(total, v.padded(3, 0)) == \
+            evaluate_word(other, v).padded(3, 0)
+
+
+# --- one owner ------------------------------------------------------------
+
+PACKAGE = pathlib.Path(lefweave.__file__).resolve().parent
+
+
+def test_only_lattice_builds_lattices():
+    """Outside lattice.py no module calls IntLattice(...) or a trusted
+    ``_of`` constructor, and outside presentation.py none calls
+    ``VanishingCycle._derived``: lattice.py alone decides where a grown
+    lattice puts its basis vectors, and presentation.py alone builds a
+    cycle without evaluating its word."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "IntLattice" and path.name != "lattice.py":
+                    sites.append((path.name, node.lineno, name))
+            elif isinstance(node, ast.Attribute):
+                owner = {"_of": "lattice.py",
+                         "_derived": "presentation.py"}.get(node.attr)
+                if owner not in (None, path.name):
+                    sites.append((path.name, node.lineno, node.attr))
+    assert sites == []

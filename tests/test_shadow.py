@@ -112,9 +112,11 @@ def test_an_unchecked_certification_rejects(monkeypatch):
 
 # --- independence ------------------------------------------------------
 
-# the move engine's kernels, which the shadow re-derives on its own
+# the move engine's kernels and lattice growth, which the shadow
+# re-derives on its own
 ENGINE_NAMES = {"pairing", "twist_power", "evaluate_word",
-                "sphere_self_pairing", "pairing_sign", "plumbing_gram"}
+                "sphere_self_pairing", "pairing_sign", "plumbed", "bordered",
+                "orthogonal_sum", "padded"}
 
 
 def test_shadow_loads_no_engine_name():
