@@ -6,6 +6,8 @@ total-space invariants, and a syntactic flexibility-certificate system with
 a small line-oriented scripting language (see the ``lefweave`` command).
 """
 
+import operator
+
 __version__ = "0.1.0"
 
 
@@ -15,6 +17,18 @@ class LefweaveError(ValueError):
     def __init__(self, message, **context):
         super().__init__(message)
         self.context = dict(context)
+
+
+def exact_ints(values, error, what):
+    """``values`` as a tuple of ints, or ``error`` if one is no integer.
+
+    operator.index takes ints and the integer types that say so, and
+    refuses 1.5, 2.0 and "1", which int() would truncate or parse.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise error("%s must be integral" % what, values=values) from None
 
 
 class Immutable:

@@ -326,29 +326,35 @@ def _step_table(k, rank, label):
     return tuple((step, step_certifications(step, k)) for step in steps)
 
 
-def _child_steps(D):
-    """The shared (step, summary entries) table for D's children."""
-    return _step_table(len(D.cycles), D.fiber.lattice.rank,
-                       stabilize_label(D.fiber))
+def _child_steps(D, budget=None):
+    """The shared (step, summary entries) table for D's children; given
+    a budget, only the rows whose child has at most that many unflagged
+    cycles (a child has at most k, so a budget of k drops nothing)."""
+    key = (len(D.cycles), D.fiber.lattice.rank, stabilize_label(D.fiber))
+    if budget is None or budget >= key[0]:
+        return _step_table(*key)
+    return _budget_table(key, tuple(
+        c.loose_certified or c.stabilization_sphere for c in D.cycles), budget)
 
 
-def _loose_steps(D):
-    """The one (step, summary entries) that can make D's child accept.
+# a step i at a position reads the flag of cycle (i + offset) % k + 1
+_READS = {"hurwitz_left": 0, "hurwitz_right": -1, "certify_loose": 0}
 
-    Only a certify_loose child can be all-flagged: a Hurwitz child holds
-    its new twisted cycle unflagged, and rotate and stabilize keep the
-    parent's flags.  So D needs exactly one unflagged cycle b, certified
-    from position i = b or k (i % k == b); the search drops the step
-    unless the cycle before b is a stabilization sphere.
+
+@functools.lru_cache(maxsize=1024)
+def _budget_table(key, flagged, budget):
+    """The rows of _step_table(*key) whose child, from a parent flagged
+    as given, has at most ``budget`` unflagged cycles.
+
+    A step flags at most one cycle: rotate and stabilize keep every
+    flag, hurwitz_left i and hurwitz_right i put an unflagged twisted
+    cycle in place of cycle i % k + 1 and of cycle i, and certify_loose
+    i, the one step with summary entries, flags cycle i % k + 1.
     """
-    cycles = D.cycles
-    k = len(cycles)
-    unflagged = [b for b, c in enumerate(cycles)
-                 if not (c.loose_certified or c.stabilization_sphere)]
-    if k < 2 or len(unflagged) != 1:
-        return ()
-    step = ("certify_loose", (unflagged[0] or k,))
-    return ((step, step_certifications(step, k)),)
+    u = flagged.count(False)
+    return tuple((step, certs) for step, certs in _step_table(*key)
+                 if budget >= u + (step[0] in _READS and flagged[
+                     (step[1][0] + _READS[step[0]]) % key[0]] - bool(certs)))
 
 
 def search_certificate(D, depth, width):
@@ -360,11 +366,14 @@ def search_certificate(D, depth, width):
     step, certifications included.  A miss means "no certificate within
     bounds", nothing more.
 
-    On the last level only an accepting child counts.  When its parents
-    have at most ``width`` candidate steps in all, no truncation can
-    happen there, so each parent tries only the one step that could
-    accept (see _loose_steps).  Results and width semantics are those
-    of building the level.
+    A step flags at most one cycle, so a child with u unflagged cycles
+    needs u more steps.  A level drops the children with u above the
+    steps left when no level from there on can be truncated: its
+    candidate steps fit in ``width``, and so do each later level's,
+    bounded by letting every step add one cycle and one sphere.  The
+    survivors keep their order, and a dropped node can shadow, through
+    ``seen``, only a node that would be dropped too: results and width
+    semantics are those of building every level.
     """
     if depth < 0:
         raise CertifyError("depth must be nonnegative", depth=depth)
@@ -375,16 +384,21 @@ def search_certificate(D, depth, width):
     seen = {D}
     frontier = [(D, (), ())]
     for level in range(1, depth + 1):
-        steps_of = _child_steps
-        if level == depth and sum(
-                len(_child_steps(datum)) for datum, _, _ in frontier) <= width:
-            steps_of = _loose_steps
+        bound = sum(len(_child_steps(d)) for d, _, _ in frontier)
+        # a node's steps are at most 1 + 3k + rank
+        most = max(1 + 3 * len(d.cycles) + d.fiber.lattice.rank
+                   for d, _, _ in frontier)
+        for j in range(1, depth - level + 1):
+            if bound > width:
+                break
+            bound *= most + 4 * j
+        budget = depth - level if bound <= width else None
         grown = []
         for datum, moves, summary in frontier:
             if len(grown) >= width:
                 break
             cycles = datum.cycles
-            for step, certs in steps_of(datum):
+            for step, certs in _child_steps(datum, budget):
                 # only certify_loose steps carry entries; one whose lead
                 # is not a stabilization sphere would raise CertifyError
                 if certs and not cycles[step[1][0] - 1].stabilization_sphere:

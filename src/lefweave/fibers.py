@@ -15,7 +15,7 @@ spheres from added ones.
 
 import weakref
 
-from . import Immutable, LefweaveError
+from . import Immutable, LefweaveError, exact_ints
 from .arcs import ArcSystem
 from .lattice import bordered, plumbed
 
@@ -118,7 +118,11 @@ class FiberModel(Immutable):
                              labels=basis_labels, rank=lattice.rank)
         if len(_distinct(basis_labels, "basis labels")) != len(basis_labels):
             raise FiberError("duplicate basis labels", labels=basis_labels)
-        stab = dict(stabilizing_spheres or {})
+        try:
+            stab = dict(stabilizing_spheres or {})
+        except TypeError:  # an unhashable label
+            raise FiberError("stabilizing labels must be hashable",
+                             spheres=stabilizing_spheres) from None
         for label in stab:
             if label not in basis_labels:
                 raise FiberError("stabilizing label is not in the basis",
@@ -156,6 +160,7 @@ class FiberModel(Immutable):
 
 def plumbing_lattice(tree, n):
     """Intersection lattice of the plumbing of D*S^n along the tree."""
+    (n,) = exact_ints((n,), FiberError, "fiber dimension")
     if n < 1:
         raise FiberError("fiber dimension must be positive", n=n)
     index = {v: i for i, v in enumerate(tree.vertices)}
@@ -184,7 +189,7 @@ def attach_stabilizing_handle(fiber, pairings, label):
         model = None
     if model is not None:
         return model, model._handle
-    pairings = tuple(int(p) for p in pairings)
+    pairings = exact_ints(pairings, FiberError, "pairings")
     rank = fiber.lattice.rank
     if len(pairings) != rank:
         raise FiberError("pairing vector length must equal the rank",
@@ -210,6 +215,7 @@ def attach_stabilizing_handle(fiber, pairings, label):
 
 def ak_matching_fiber(m, n):
     """The A_{m-1} chain fiber with its m-point matching arc system."""
+    m, n = exact_ints((m, n), FiberError, "point count and dimension")
     if m < 2:
         raise FiberError("a matching fiber needs at least 2 points", m=m)
     if n < 1:

@@ -10,7 +10,7 @@ positions are 1-based and cyclic: position i acts on the adjacent pair
 (i, i+1), with i = k wrapping around to pair (k, 1).
 """
 
-from . import Immutable, LefweaveError
+from . import Immutable, LefweaveError, exact_ints
 from .arcs import apply_half_twist
 from .fibers import FiberModel, attach_stabilizing_handle
 from .lattice import TwistWord, evaluate_word, orthogonal_sum, pairing, \
@@ -273,7 +273,7 @@ def subflexibilize(D, disk_pairings):
     for pos, p in enumerate(disk_pairings, start=1):
         if p is None:
             continue
-        p = tuple(int(x) for x in p)
+        p = exact_ints(p, MoveError, "disk pairings")
         if len(p) != base_rank:
             raise MoveError(
                 "pairing vector length must equal the original rank",

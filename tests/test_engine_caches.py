@@ -87,9 +87,12 @@ def test_cached_child_keeps_the_label_and_length_checks():
     # on the child, the cached key's label is now a basis label
     with pytest.raises(FiberError, match="label already used"):
         attach_stabilizing_handle(child, (1, 0, 0), "s1")
-    for pairings in ((1, 0), [1, 0], (True, False), ["1", "0"]):
+    for pairings in ((1, 0), [1, 0], (True, False)):
         again, s_again = attach_stabilizing_handle(F, pairings, "s1")
         assert again is child and s_again is sphere
+    # text is no integer, even where int() would read it
+    with pytest.raises(FiberError, match="integral"):
+        attach_stabilizing_handle(F, ["1", "0"], "s1")
 
 
 def _arc_datum(fiber):

@@ -91,9 +91,28 @@ def test_tree_validation():
                        [["a"]]),
     lambda: attach_stabilizing_handle(
         plumbing_lattice(PlumbingTree.path(2), 2), (1, 0), ["x"]),
-), ids=("vertex", "edge-end", "basis-label", "handle-label"))
+    lambda: FiberModel(plumbing_lattice(PlumbingTree(["a"]), 2).lattice,
+                       ["a"], [(["a"], (1,))]),
+), ids=("vertex", "edge-end", "basis-label", "handle-label",
+        "stabilizing-label"))
 def test_an_unhashable_label_is_a_fiber_error(build):
     with pytest.raises(FiberError):
+        build()
+
+
+@pytest.mark.parametrize("build", (
+    lambda: attach_stabilizing_handle(
+        plumbing_lattice(PlumbingTree.path(2), 2), [1.5, 0], "s"),
+    lambda: attach_stabilizing_handle(
+        plumbing_lattice(PlumbingTree.path(1), 2), ["x"], "s"),
+    lambda: ak_matching_fiber(3, 2.5),
+    lambda: plumbing_lattice(PlumbingTree.path(2), "2"),
+    lambda: plumbing_lattice(PlumbingTree.path(2), 2.0),
+), ids=("fractional-pairing", "text-pairing", "fractional-ak-n", "text-n",
+        "float-n"))
+def test_a_non_integer_is_a_fiber_error(build):
+    # int() would truncate 1.5 to 1 and read "2" as 2
+    with pytest.raises(FiberError, match="must be integral"):
         build()
 
 

@@ -17,8 +17,11 @@ Frozen values, hand-checked with the Picard-Lefschetz formulas:
 
 import random
 
+import pytest
+
 from lefweave.arcs import apply_half_twist, arc_to_class, standard_arc
-from lefweave.fibers import FiberModel, PlumbingTree, ak_matching_fiber, plumbing_lattice
+from lefweave.fibers import FiberError, FiberModel, PlumbingTree, \
+    ak_matching_fiber, plumbing_lattice
 from lefweave.lattice import IntLattice, SphereClass, TwistWord, evaluate_word
 from lefweave.presentation import (
     LefschetzDatum,
@@ -298,6 +301,17 @@ def test_subflexibilize_empty_and_length_errors():
             assert False
         except MoveError:
             pass
+
+
+@pytest.mark.parametrize("move,error", (
+    (lambda D: stabilize(D, [1.5, 0], "s"), FiberError),
+    (lambda D: subflexibilize(D, [[1.5, 0], None]), MoveError),
+    (lambda D: subflexibilize(D, [["1", 0], None]), MoveError),
+), ids=("stabilize-fraction", "subflex-fraction", "subflex-text"))
+def test_a_move_rejects_a_non_integer_pairing(move, error):
+    # int() would truncate 1.5 to 1 and read "1" as 1
+    with pytest.raises(error, match="must be integral"):
+        move(a2_datum())
 
 
 def test_subflexibilize_drops_arcs_on_twisted_cycles():

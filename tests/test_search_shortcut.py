@@ -1,21 +1,26 @@
 """search_certificate against a reference breadth-first search.
 
-The search returns an accepting child as soon as it builds it, and on
-its last level it tries only the one step per parent that could accept
-(see certify._loose_steps).  The reference below is the level loop
+The search returns an accepting child as soon as it builds it.  On each
+level from which no later level can be truncated by the width, it also
+drops every child whose unflagged cycles outnumber the steps left, since
+a step flags at most one cycle (the flag budget; see
+certify.search_certificate).  The reference below is the level loop
 that builds every level before it looks for an accepting node, kept
 here as the oracle: its results are the results the search must give,
 at every depth and width, on seeded arc data and on the x1/x2 presets.
 
-``width_bound`` is the guard's bound: the number of candidate steps of
-the last level's parents.  At or above it no truncation can happen, so
-the search must take its shortcut and build far fewer nodes; one below
-it the search builds the level as the reference does.
+``width_bound`` is the guard's exact bound: the number of candidate
+steps of the last level's parents.  At or above it the last level
+cannot be truncated, so the search filters it and makes fewer
+apply_step calls.  One below it the guard holds on no level, since an
+earlier level's bound is at least the last level's count, and the
+search builds every level as the reference does.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lefweave import LefweaveError, certify, presets
 from lefweave.arcs import apply_half_twist, induced_word, standard_arc
@@ -198,10 +203,14 @@ def test_matches_reference_at_the_guard_bound(name, D, depth, bound,
                                               monkeypatch):
     calls, ref_calls, last_steps = check(D, depth, bound, monkeypatch)
     assert last_steps == bound
-    # the shortcut tries at most one child per parent
+    # the last level drops the children that cannot be flagged in time
     assert calls < ref_calls
     if bound > 1:
         check(D, depth, bound - 1, monkeypatch)
+    # with room for every level the guard holds from level 1 on; at
+    # depth 3 that drops children before the last level on every datum
+    if depth == 3:
+        assert check(D, depth, 10 ** 9, monkeypatch)[0] < calls
 
 
 # depth 4 builds thousands of nodes a datum: a subset keeps it quick
@@ -212,6 +221,16 @@ DEEP = POOL[::5] + [(name, presets.preset(name)) for name in ("x1", "x2")]
 def test_matches_reference_at_depth_4(name, D, monkeypatch):
     for width in FIXED_WIDTHS:
         check(D, 4, width, monkeypatch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((3, 4, 5)),
+       st.sampled_from((1, 2, 3)), st.integers(0, 4),
+       st.one_of(st.integers(1, 100), st.integers(1, 10 ** 4)))
+def test_matches_reference_on_seeded_data(seed, m, k, depth, width):
+    D = seeded_datum(random.Random(seed), m, k)
+    assert search_certificate(D, depth, width) == \
+        reference_search(D, depth, width)[0]
 
 
 def test_pool_reaches_every_kind_of_finish():
@@ -282,13 +301,13 @@ def test_search_shape_is_pinned(name, depth, sizes):
 def test_x1_has_no_certificate_within_6_steps():
     """An exhaustive miss: no level of the search is truncated.
 
-    Levels 1-5 are x1's pinned uncapped levels, each far below the
-    width.  A step adds at most one cycle and one basis sphere, so
-    after 5 steps from x1's 2 cycles over a rank-2 fiber k <= 7 and
-    rank <= 7, and a datum has at most 1 + 3k + rank = 29 candidate
-    steps.  The level-5 parents' steps fit in the width, so the search
-    takes its last-level shortcut, which drops only steps that cannot
-    accept.
+    A step adds at most one cycle and one basis sphere, so a node j
+    steps below x1 (2 cycles over a rank-2 fiber) has at most
+    1 + 3(2 + j) + 2 + j = 9 + 4j candidate steps.  Over six levels
+    that bound fits in the width, so no level can be truncated, and the
+    search filters every level by the flag budget, which drops only
+    children that cannot be flagged within 6 steps.  Levels 1-5 are
+    x1's pinned uncapped sizes, each far below the width.
     """
     width = 10 ** 9
     name, depth, sizes = SHAPES[0]
@@ -296,6 +315,8 @@ def test_x1_has_no_certificate_within_6_steps():
     D = presets.x1()
     assert (len(D.cycles), D.fiber.lattice.rank) == (2, 2)
     assert max(sizes) < width
-    k = rank = 2 + depth
-    assert sizes[-1] * (1 + 3 * k + rank) == 602359 <= width
+    bound = 1
+    for j in range(depth + 1):
+        bound *= 9 + 4 * j
+    assert bound == 30282525 <= width
     assert search_certificate(D, depth + 1, width) is None
