@@ -200,13 +200,6 @@ def apply_half_twist(system, arc, target, power=1):
     return image
 
 
-def arcs_isotopic(system, a, b):
-    """Whether two arcs are isotopic rel the marked points."""
-    if a.system.m != system.m or b.system.m != system.m:
-        raise ArcError("arcs belong to a different system", m=system.m)
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # classes in the lattice
 

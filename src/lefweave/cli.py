@@ -150,18 +150,6 @@ def certificate_payload(cert, texts=None):
     }
 
 
-def export_json(obj):
-    """Canonical JSON text for an invariants bundle or a certificate."""
-    if isinstance(obj, Certificate):
-        payload = certificate_payload(obj)
-    elif hasattr(obj, "form_invariants"):
-        payload = invariants_payload(obj)
-    else:
-        raise CliError("cannot export this object",
-                       type=type(obj).__name__)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 class _Session:
     """One run of a parsed workspace: definitions, commands, results."""
 

@@ -178,30 +178,24 @@ def attach_stabilizing_handle(fiber, pairings, label):
     references to its children, so a stabilized fiber lives no longer
     than the data built on it.
     """
+    pairings = exact_ints(pairings, FiberError, "pairings")
     children = fiber._children
     if children is None:
         children = weakref.WeakValueDictionary()
         object.__setattr__(fiber, "_children", children)
-    # a cached child passed the checks below when it was built
     try:
         model = children.get((pairings, label))
-    except TypeError:  # unhashable pairings or label
-        model = None
+    except TypeError:
+        raise FiberError("label must be hashable", label=label) from None
+    # a cached child passed the checks below when it was built
     if model is not None:
         return model, model._handle
-    pairings = exact_ints(pairings, FiberError, "pairings")
     rank = fiber.lattice.rank
     if len(pairings) != rank:
         raise FiberError("pairing vector length must equal the rank",
                          expected=rank, got=len(pairings))
     if label in fiber.basis_labels:
         raise FiberError("label already used in this fiber", label=label)
-    try:
-        model = children.get((pairings, label))
-    except TypeError:
-        raise FiberError("label must be hashable", label=label) from None
-    if model is not None:
-        return model, model._handle
     lattice = bordered(fiber.lattice, pairings)
     stab = dict(fiber.stabilizing_spheres)
     stab[label] = pairings

@@ -112,11 +112,6 @@ def _homology(D, divisors):
     return TotalSpaceInvariants(n, chi, tuple(homology), None, None, None)
 
 
-def euler_characteristic(D):
-    """chi(fiber) + (-1)^(n+1) k, cross-checked against homology."""
-    return total_space_homology(D).chi
-
-
 def middle_intersection_form(D):
     """The intersection matrix K^T . Q2 . K / 2 on a basis K of ker d.
 
@@ -221,34 +216,3 @@ def total_space_invariants(D):
         middle_symmetry="symmetric" if symmetric else "antisymmetric",
         form_invariants=form_invariants(form, symmetric),
     )
-
-
-def _merge_torsion(t1, t2):
-    """Combine two divisor chains into one canonical chain."""
-    entries = list(t1) + list(t2)
-    size = len(entries)
-    diag = [[entries[i] if i == j else 0 for j in range(size)]
-            for i in range(size)]
-    return tuple(x for x in smith_normal_form(diag)[0] if x > 1)
-
-
-def product_with_cotangent_sphere(inv, j):
-    """Homology of (total space) x D*S^j via the Kunneth formula."""
-    if j < 1:
-        raise InvariantError("sphere dimension must be positive", j=j)
-    free = {deg: f for deg, f, _ in inv.homology}
-    tors = {deg: t for deg, _, t in inv.homology}
-    # H_*(D*S^j) = H_*(S^j) is free, so the Kunneth Tor terms all vanish
-    new_n = inv.n + j
-    homology = []
-    for deg in range(new_n + 2):
-        f = free.get(deg, 0) + free.get(deg - j, 0)
-        t = _merge_torsion(tors.get(deg, ()), tors.get(deg - j, ()))
-        homology.append((deg, f, t))
-    chi = sum((-1) ** deg * f for deg, f, _ in homology)
-    if chi != inv.chi * (1 + (-1) ** j):
-        raise InvariantError(
-            "product chi disagrees with multiplicativity",
-            chi=chi, expected=inv.chi * (1 + (-1) ** j))
-    return TotalSpaceInvariants(
-        new_n, chi, tuple(homology), None, None, None)

@@ -25,7 +25,7 @@ Conventions, fixed once here and relied on everywhere else:
 All arithmetic is plain Python integers; values are immutable tuples.
 """
 
-from . import Immutable, LefweaveError
+from . import Immutable, LefweaveError, exact_ints
 
 
 class LatticeError(LefweaveError):
@@ -44,10 +44,6 @@ def sphere_self_pairing(n):
     return 2 if (n * (n + 1) // 2) % 2 == 0 else -2
 
 
-def _as_int_rows(rows):
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 class IntLattice(Immutable):
     """A finitely generated free abelian group with an integer Gram form.
 
@@ -58,7 +54,9 @@ class IntLattice(Immutable):
     __slots__ = ("gram", "n", "rank", "_centers")
 
     def __init__(self, gram, n):
-        gram = _as_int_rows(gram)
+        gram = tuple(exact_ints(row, LatticeError, "gram entries")
+                     for row in gram)
+        (n,) = exact_ints((n,), LatticeError, "n")
         rank = len(gram)
         if any(len(row) != rank for row in gram):
             raise LatticeError("gram matrix must be square", rank=rank)
@@ -71,7 +69,7 @@ class IntLattice(Immutable):
                     raise LatticeError(
                         "gram breaks the sign rule <y,x> = %+d <x,y> for n=%d"
                         % (flip, n), i=i, j=j)
-        self._fill(gram, int(n))
+        self._fill(gram, n)
 
     @classmethod
     def _of(cls, gram, n):
@@ -151,7 +149,8 @@ class SphereClass(Immutable):
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
+        object.__setattr__(self, "coords",
+                           exact_ints(coords, LatticeError, "coordinates"))
 
     @classmethod
     def _of(cls, coords):
@@ -189,7 +188,7 @@ class TwistWord(Immutable):
     def __init__(self, letters, base):
         reduced = []
         for center, exp in letters:
-            exp = int(exp)
+            (exp,) = exact_ints((exp,), LatticeError, "twist exponents")
             if exp == 0:
                 continue
             if reduced and reduced[-1][0].coords == center.coords:
@@ -210,18 +209,13 @@ class TwistWord(Immutable):
         object.__setattr__(self, "base", base)
         return self
 
-    def is_trivial(self):
-        return not self.letters
-
     def prepend(self, center, exp):
         """New word with one more (outermost) letter, freely reduced.
 
         The letters are already reduced, so only the first can merge.
+        ``exp`` must be a nonzero int: it is not checked.
         """
-        exp = int(exp)
         letters = self.letters
-        if exp == 0:
-            return self
         if letters and letters[0][0].coords == center.coords:
             merged = letters[0][1] + exp
             if merged == 0:
@@ -267,11 +261,6 @@ def pairing(L, x, y):
         row = L.gram[i]
         total += xi * sum(row[j] * yj for j, yj in enumerate(y.coords) if yj)
     return total
-
-
-def dehn_twist(L, S, x):
-    """tau_S(x) = x + eps_n <x,S> S."""
-    return twist_power(L, S, x, 1)
 
 
 def twist_power(L, S, x, exponent):

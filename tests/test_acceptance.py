@@ -17,7 +17,6 @@ from lefweave.arcs import (
     ArcSystem,
     apply_half_twist,
     arc_to_class,
-    arcs_isotopic,
     standard_arc,
 )
 from lefweave.certify import (
@@ -30,7 +29,7 @@ from lefweave.cli import execute
 from lefweave.dsl import parse
 from lefweave.fibers import PlumbingTree, plumbing_lattice
 from lefweave.invariants import total_space_homology, total_space_invariants
-from lefweave.lattice import IntLattice, SphereClass, TwistWord, dehn_twist, twist_power
+from lefweave.lattice import IntLattice, SphereClass, TwistWord, twist_power
 from lefweave.presentation import (
     LefschetzDatum,
     VanishingCycle,
@@ -115,10 +114,10 @@ def test_criterion_2_even_twist_triviality():
         L = IntLattice(gram, n=n)
         S = L.basis_sphere(rng.randint(1, rank))
         x = SphereClass(tuple(rng.randint(-9, 9) for _ in range(rank)))
-        assert dehn_twist(L, S, dehn_twist(L, S, x)).coords == x.coords
+        assert twist_power(L, S, twist_power(L, S, x, 1), 1).coords == x.coords
     L3 = IntLattice([[0, 1], [-1, 0]], n=3)
     e1, e2 = L3.basis_sphere(1), L3.basis_sphere(2)
-    assert dehn_twist(L3, e2, dehn_twist(L3, e2, e1)).coords == (1, 2)
+    assert twist_power(L3, e2, twist_power(L3, e2, e1, 1), 1).coords == (1, 2)
     finish("criterion 2: even twists act trivially, odd ones do not", start, 1.0)
 
 
@@ -258,18 +257,18 @@ def test_criterion_8_arc_engine_fidelity():
             for a in targets:
                 lhs = twist_by_word(system, [(i, 1), (j, 1), (i, 1)], a)
                 rhs = twist_by_word(system, [(j, 1), (i, 1), (j, 1)], a)
-                assert arcs_isotopic(system, lhs, rhs)
+                assert lhs == rhs
         for i in range(1, m):
             for j in range(i + 2, m):
                 for a in targets:
                     lhs = twist_by_word(system, [(i, 1), (j, 1)], a)
                     rhs = twist_by_word(system, [(j, 1), (i, 1)], a)
-                    assert arcs_isotopic(system, lhs, rhs)
+                    assert lhs == rhs
 
     system = ArcSystem(3, n=2)
     a1 = standard_arc(system, 1)
     b = twist_by_word(system, [(2, 1), (2, 1)], a1)
-    assert not arcs_isotopic(system, b, a1)
+    assert b != a1
     assert arc_to_class(system, b).coords == arc_to_class(system, a1).coords
 
     rng = random.Random(801)

@@ -31,10 +31,9 @@ from lefweave.arcs import (
     _dynnikov_key,
     apply_half_twist,
     arc_to_class,
-    arcs_isotopic,
     standard_arc,
 )
-from lefweave.lattice import IntLattice, dehn_twist, pairing, twist_power
+from lefweave.lattice import IntLattice, pairing, twist_power
 
 from arc_oracle import (
     canonical,
@@ -91,7 +90,7 @@ def test_half_twist_fixes_own_arc():
         sys = ArcSystem(m, n=2)
         for k in range(1, m):
             a = standard_arc(sys, k)
-            assert arcs_isotopic(sys, apply_half_twist(sys, a, a), a)
+            assert apply_half_twist(sys, a, a) == a
 
 
 def test_t2_of_std1_frozen():
@@ -104,14 +103,14 @@ def test_t2_of_std1_frozen():
     # mirror route differs
     binv = apply_half_twist(sys, a2, a1, power=-1)
     assert set(endpoints(binv)) == {1, 3}
-    assert not arcs_isotopic(sys, b, binv)
+    assert b != binv
 
 
 def test_squared_twist_fragility_gap():
     sys = ArcSystem(3, n=2)
     a1, a2 = standard_arc(sys, 1), standard_arc(sys, 2)
     b = twist_by_word(sys, [(2, 1), (2, 1)], a1)
-    assert not arcs_isotopic(sys, b, a1)
+    assert b != a1
     assert coords(b) != coords(a1)
     # but the even lattice class collapses back to +-e1
     assert arc_to_class(sys, b).coords == (1, 0)
@@ -131,7 +130,7 @@ def test_inverse_twist_inverts():
         g = standard_arc(sys, k)
         there = apply_half_twist(sys, g, a)
         back = apply_half_twist(sys, g, there, power=-1)
-        assert arcs_isotopic(sys, back, a)
+        assert back == a
         assert coords(back) == coords(a)
 
 
@@ -146,13 +145,13 @@ def test_braid_relations_exhaustive():
             for a in targets:
                 lhs = twist_by_word(sys, [(i, 1), (j, 1), (i, 1)], a)
                 rhs = twist_by_word(sys, [(j, 1), (i, 1), (j, 1)], a)
-                assert arcs_isotopic(sys, lhs, rhs)
+                assert lhs == rhs
         for i in range(1, m):
             for j in range(i + 2, m):
                 for a in targets:
                     lhs = twist_by_word(sys, [(i, 1), (j, 1)], a)
                     rhs = twist_by_word(sys, [(j, 1), (i, 1)], a)
-                    assert arcs_isotopic(sys, lhs, rhs)
+                    assert lhs == rhs
 
 
 def test_canonicalization_idempotent_and_word_insensitive():
@@ -168,7 +167,7 @@ def test_canonicalization_idempotent_and_word_insensitive():
         # inserting a cancelling generator pair gives an isotopic arc
         k = rng.randint(1, m - 1)
         padded = twist_by_word(sys, [(k, 1), (k, -1)], a)
-        assert arcs_isotopic(sys, a, padded)
+        assert a == padded
         assert coords(padded) == coords(a)
         assert endpoints(padded) == endpoints(a)
 
@@ -208,7 +207,7 @@ def test_disjoint_twists_commute():
         target = twist_by_word(sys, word, standard_arc(sys, rng.randint(1, 4)))
         lhs = apply_half_twist(sys, a1, apply_half_twist(sys, a3, target))
         rhs = apply_half_twist(sys, a3, apply_half_twist(sys, a1, target))
-        assert arcs_isotopic(sys, lhs, rhs)
+        assert lhs == rhs
 
 
 def test_pairing_bounded_by_geometric_intersection():
@@ -293,7 +292,7 @@ def test_arc_to_class_sign_normalization():
 def test_catalogue_contains_standard_arcs():
     sys = ArcSystem(4, n=2)
     assert set(sys.catalogue) >= {"a1", "a2", "a3"}
-    assert arcs_isotopic(sys, sys.catalogue["a1"], standard_arc(sys, 1))
+    assert sys.catalogue["a1"] == standard_arc(sys, 1)
 
 
 def test_mirror_windings_distinguished():
@@ -304,7 +303,7 @@ def test_mirror_windings_distinguished():
     a3 = standard_arc(sys, 3)
     left = twist_by_word(sys, [(2, 1), (3, 1), (2, -1)], a1)
     right = twist_by_word(sys, [(2, 1), (3, -1), (2, -1)], a1)
-    assert not arcs_isotopic(sys, left, right)
+    assert left != right
 
 
 @st.composite

@@ -15,8 +15,8 @@ import pytest
 
 from lefweave import cli
 from lefweave.certify import Certificate
-from lefweave.cli import (CliError, execute, export_json, format_move, main,
-                          render)
+from lefweave.cli import (certificate_payload, execute, format_move,
+                          invariants_payload, main, render)
 from lefweave.dsl import parse, pretty_print
 from lefweave.invariants import total_space_invariants
 from lefweave.presets import x1
@@ -273,23 +273,15 @@ def test_render_shape():
 
 
 def test_export_json():
-    blob = export_json(total_space_invariants(x1()))
-    doc = json.loads(blob)
+    doc = invariants_payload(total_space_invariants(x1()))
     assert doc["chi"] == 1 and doc["middle_form"]["symmetry"] == "skew"
 
     cert = Certificate((("hurwitz_right", (2,)), ("certify_loose", (2,))),
                        ((3, "loose_pair"),), "flexible")
-    doc = json.loads(export_json(cert))
-    assert doc == {"moves": ["hurwitzR 2", "certify-loose 2"],
-                   "certifications": [[3, "loose_pair"]],
-                   "claim": "flexible"}
-
-    try:
-        export_json(42)
-    except CliError as err:
-        assert "cannot export" in str(err)
-    else:
-        raise AssertionError("expected CliError")
+    assert certificate_payload(cert) == {
+        "moves": ["hurwitzR 2", "certify-loose 2"],
+        "certifications": [[3, "loose_pair"]],
+        "claim": "flexible"}
 
 
 def test_format_move_all_tags():

@@ -116,6 +116,17 @@ def test_a_non_integer_is_a_fiber_error(build):
         build()
 
 
+def test_a_float_pairing_is_refused_whatever_the_cache_holds():
+    F = plumbing_lattice(PlumbingTree.path(2), 2)
+    with pytest.raises(FiberError, match="must be integral"):
+        attach_stabilizing_handle(F, (1.0, 0), "s")
+    child, _ = attach_stabilizing_handle(F, (1, 0), "s")
+    # (1.0, 0) == (1, 0) would find the cached child
+    with pytest.raises(FiberError, match="must be integral"):
+        attach_stabilizing_handle(F, (1.0, 0), "s")
+    assert F._children[((1, 0), "s")] is child
+
+
 def test_edge_signs():
     tree = PlumbingTree(["u", "v"], [("u", "v", -1)])
     F = plumbing_lattice(tree, 2)

@@ -30,11 +30,8 @@ import pytest
 
 from lefweave.fibers import FiberModel, PlumbingTree, plumbing_lattice
 from lefweave.invariants import (
-    InvariantError,
-    euler_characteristic,
     form_invariants,
     middle_intersection_form,
-    product_with_cotangent_sphere,
     total_space_homology,
     total_space_invariants,
 )
@@ -85,7 +82,7 @@ def test_x1_frozen():
     assert inv.middle_form == ((0,),)
     assert inv.middle_symmetry == "antisymmetric"
     assert inv.form_invariants == (0, 1, None)
-    assert euler_characteristic(x1_datum()) == 1
+    assert total_space_homology(x1_datum()).chi == 1
 
 
 def test_fiber_times_disk():
@@ -98,7 +95,7 @@ def test_fiber_times_disk():
         (3, 0, ()),
     )
     assert inv.chi == 3
-    assert euler_characteristic(D) == 3
+    assert total_space_homology(D).chi == 3
 
 
 def test_balls():
@@ -282,47 +279,6 @@ def test_form_invariants_helper():
     assert form_invariants(((2, 2), (2, 2)), True) == (1, 2, 1)
     assert form_invariants((), True) == (0, 1, 0)
     assert form_invariants((), False) == (0, 1, None)
-
-
-def test_kunneth_s3():
-    inv = total_space_invariants(x1_datum())
-    out = product_with_cotangent_sphere(inv, 3)
-    assert out.chi == 0
-    assert out.n == 5
-    assert groups(out) == {
-        0: (1, ()), 1: (0, ()), 2: (1, ()), 3: (2, ()),
-        4: (0, ()), 5: (1, ()), 6: (1, ()),
-    }
-    assert out.middle_form is None
-    assert out.form_invariants is None
-
-
-def test_kunneth_circle_doubles():
-    inv = total_space_homology(path_datum(2, 2, [(1, 0)]))
-    out = product_with_cotangent_sphere(inv, 1)
-    assert out.chi == 0
-    g0, g1 = groups(inv), groups(out)
-    for deg, (free, tor) in g0.items():
-        assert g1[deg][0] == free + g0.get(deg - 1, (0, ()))[0]
-
-
-def test_kunneth_torsion_and_errors():
-    inv = total_space_homology(path_datum(2, 3, [(1, 0), (1, 2)]))
-    out = product_with_cotangent_sphere(inv, 2)
-    assert groups(out)[3] == (0, (2,))
-    assert groups(out)[5] == (0, (2,))
-    ball = total_space_homology(
-        LefschetzDatum(FiberModel(IntLattice((), 2), ()), ()))
-    sphere = product_with_cotangent_sphere(ball, 4)
-    assert sphere.n == 6
-    assert groups(sphere) == {0: (1, ()), 1: (0, ()), 2: (0, ()),
-                              3: (0, ()), 4: (1, ()), 5: (0, ()),
-                              6: (0, ()), 7: (0, ())}
-    try:
-        product_with_cotangent_sphere(inv, 0)
-        assert False
-    except InvariantError:
-        pass
 
 
 def test_middle_form_move_stability_frozen():

@@ -21,12 +21,12 @@ from lefweave.lattice import (
     SphereClass,
     TwistWord,
     bordered,
-    dehn_twist,
     evaluate_word,
     orthogonal_sum,
     pairing,
     plumbed,
     smith_normal_form,
+    twist_power,
 )
 
 
@@ -76,27 +76,27 @@ def test_gram_parity_validation():
 def test_dehn_twist_even_frozen():
     L = a2_lattice(2)
     e1, e2 = L.basis_sphere(1), L.basis_sphere(2)
-    assert dehn_twist(L, e2, e1).coords == (1, 1)
+    assert twist_power(L, e2, e1, 1).coords == (1, 1)
     # tau_S(S) = (-1)^{n+1} S for n even
-    assert dehn_twist(L, e2, e2).coords == (0, -1)
+    assert twist_power(L, e2, e2, 1).coords == (0, -1)
 
 
 def test_dehn_twist_rejects_bad_center_even():
     L = a2_lattice(2)
     bad = SphereClass((2, 0))  # self-pairing -8, not -2
     with pytest.raises(LatticeError):
-        dehn_twist(L, bad, L.basis_sphere(1))
+        twist_power(L, bad, L.basis_sphere(1), 1)
 
 
 def test_dehn_twist_odd_frozen():
     L = a2_lattice(3)
     e1, e2 = L.basis_sphere(1), L.basis_sphere(2)
-    once = dehn_twist(L, e2, e1)
-    twice = dehn_twist(L, e2, once)
+    once = twist_power(L, e2, e1, 1)
+    twice = twist_power(L, e2, once, 1)
     assert once.coords == (1, 1)
     assert twice.coords == (1, 2)  # tau^2_{e2}(e1) = e1 + 2 e2
     # tau_S(S) = S for n odd
-    assert dehn_twist(L, e2, e2).coords == (0, 1)
+    assert twist_power(L, e2, e2, 1).coords == (0, 1)
 
 
 def test_evaluate_word_identity_and_reduction():
@@ -109,7 +109,7 @@ def test_evaluate_word_identity_and_reduction():
     # free reduction: tau^{-1}_S tau^2_S = tau_S
     w = TwistWord(((e2, -1), (e2, 2)), e1)
     assert w.letters == ((e2, 1),)
-    assert evaluate_word(L, w).coords == dehn_twist(L, e2, e1).coords
+    assert evaluate_word(L, w).coords == twist_power(L, e2, e1, 1).coords
 
 
 def test_evaluate_word_odd_frozen():
@@ -124,6 +124,19 @@ def test_twist_word_drops_zero_exponents():
     e1, e2 = L.basis_sphere(1), L.basis_sphere(2)
     w = TwistWord(((e2, 1), (e2, -1), (e1, 0)), e1)
     assert w.letters == ()
+
+
+@pytest.mark.parametrize("build", (
+    lambda: IntLattice([[-2.5]], 2),
+    lambda: IntLattice([[-2]], 2.5),
+    lambda: SphereClass((1.5, 0)),
+    lambda: TwistWord([(SphereClass((0, 1)), 1.5)], SphereClass((1, 0))),
+), ids=("fractional-gram", "fractional-n", "fractional-coords",
+        "fractional-exponent"))
+def test_a_non_integer_is_a_lattice_error(build):
+    # int() would truncate each to the integer below it
+    with pytest.raises(LatticeError, match="must be integral"):
+        build()
 
 
 def test_word_inverse_composes_to_identity():
@@ -254,7 +267,7 @@ def test_twist_isometry_property():
         S = L.basis_sphere(rng.randint(1, rank))
         x = SphereClass(tuple(rng.randint(-5, 5) for _ in range(rank)))
         y = SphereClass(tuple(rng.randint(-5, 5) for _ in range(rank)))
-        tx, ty = dehn_twist(L, S, x), dehn_twist(L, S, y)
+        tx, ty = twist_power(L, S, x, 1), twist_power(L, S, y, 1)
         assert pairing(L, tx, ty) == pairing(L, x, y)
 
 
@@ -268,8 +281,8 @@ def test_involution_even_and_transvection_odd():
         S_o = Lo.basis_sphere(rng.randint(1, rank))
         x_e = SphereClass(tuple(rng.randint(-5, 5) for _ in range(rank)))
         x_o = SphereClass(tuple(rng.randint(-5, 5) for _ in range(rank)))
-        assert dehn_twist(Le, S_e, dehn_twist(Le, S_e, x_e)).coords == x_e.coords
-        twice = dehn_twist(Lo, S_o, dehn_twist(Lo, S_o, x_o))
+        assert twist_power(Le, S_e, twist_power(Le, S_e, x_e, 1), 1).coords == x_e.coords
+        twice = twist_power(Lo, S_o, twist_power(Lo, S_o, x_o, 1), 1)
         m = pairing(Lo, x_o, S_o)
         expected = tuple(
             x_o.coords[i] + 2 * m * S_o.coords[i] for i in range(rank)
