@@ -328,10 +328,10 @@ def _step_table(k, rank, label):
 
 def _child_steps(D, budget=None):
     """The shared (step, summary entries) table for D's children; given
-    a budget, only the rows whose child has at most that many unflagged
-    cycles (a child has at most k, so a budget of k drops nothing)."""
+    a budget, only the rows that _budget_table keeps (a child has at
+    most k unflagged cycles, so a budget above k drops nothing)."""
     key = (len(D.cycles), D.fiber.lattice.rank, stabilize_label(D.fiber))
-    if budget is None or budget >= key[0]:
+    if budget is None or budget > key[0]:
         return _step_table(*key)
     return _budget_table(key, tuple(
         c.loose_certified or c.stabilization_sphere for c in D.cycles), budget)
@@ -341,20 +341,37 @@ def _child_steps(D, budget=None):
 _READS = {"hurwitz_left": 0, "hurwitz_right": -1, "certify_loose": 0}
 
 
+# steps that change no word, class or flag: their child needs a step to
+# spare
+_IDLE = ("rotate", "stabilize")
+
+
 @functools.lru_cache(maxsize=1024)
 def _budget_table(key, flagged, budget):
     """The rows of _step_table(*key) whose child, from a parent flagged
-    as given, has at most ``budget`` unflagged cycles.
+    as given, has at most ``budget`` unflagged cycles, or ``budget`` - 1
+    after a rotate or stabilize.
 
     A step flags at most one cycle: rotate and stabilize keep every
     flag, hurwitz_left i and hurwitz_right i put an unflagged twisted
     cycle in place of cycle i % k + 1 and of cycle i, and certify_loose
     i, the one step with summary entries, flags cycle i % k + 1.
+
+    A rotate or stabilize child with u unflagged cycles and a budget of
+    u can only be finished by u certify_loose steps, each flagging a new
+    cycle.  Certifications change only flags; rotate keeps every cyclic
+    neighbour, and stabilize appends a sphere with an empty word that no
+    letter is about, so it can neither lead nor be certified.  The same
+    certifications, re-indexed, accept from the parent one level sooner,
+    and a search with no truncated level returns at that level or
+    before: the child is never expanded.
     """
     u = flagged.count(False)
     return tuple((step, certs) for step, certs in _step_table(*key)
-                 if budget >= u + (step[0] in _READS and flagged[
-                     (step[1][0] + _READS[step[0]]) % key[0]] - bool(certs)))
+                 if budget >= u + (step[0] in _IDLE) + (
+                     step[0] in _READS and flagged[
+                         (step[1][0] + _READS[step[0]]) % key[0]]
+                     - bool(certs)))
 
 
 def search_certificate(D, depth, width):
@@ -367,12 +384,15 @@ def search_certificate(D, depth, width):
     bounds", nothing more.
 
     A step flags at most one cycle, so a child with u unflagged cycles
-    needs u more steps.  A level drops the children with u above the
-    steps left when no level from there on can be truncated: its
-    candidate steps fit in ``width``, and so do each later level's,
-    bounded by letting every step add one cycle and one sphere.  The
-    survivors keep their order, and a dropped node can shadow, through
-    ``seen``, only a node that would be dropped too: results and width
+    needs u more steps, and a rotate or stabilize child, which changes
+    no word, class or flag, needs one to spare: with exactly u left, the
+    certifications that would finish it finish its parent one level
+    sooner.  A level drops the children short of those steps when no
+    level from there on can be truncated: its candidate steps fit in
+    ``width``, and so do each later level's, bounded by letting every
+    step add one cycle and one sphere.  The survivors keep their order,
+    and a dropped node can shadow, through ``seen``, only a node that
+    would be dropped too or is never expanded: results and width
     semantics are those of building every level.
     """
     if depth < 0:

@@ -311,7 +311,7 @@ def smith_normal_form(M):
     value in the remaining submatrix wins, ties broken by lowest row
     index, then lowest column index.
     """
-    A = [list(map(int, row)) for row in M]
+    A = [list(exact_ints(row, LatticeError, "matrix entries")) for row in M]
     p = len(A)
     q = len(A[0]) if p else 0
     if any(len(row) != q for row in A):

@@ -7,37 +7,43 @@ calculus must find no certificate for a domain with SH != 0:
   * ``[e1]*m`` over ``plumbing a1 n``: T*S^{n+1} for m = 2 and the
     A_{m-1} Milnor fiber for m > 2 (Seidel 2008), whose SH contains the
     homology of a free loop space (Viterbo 1999) and is not zero;
+  * boundary sums of these with each other and with x2: SH of a
+    boundary sum is the product of the summands' (Cieliebak 2002), so
+    a factor that is not zero keeps it from vanishing;
   * x1, and T*S^3 subflexibilized by ``subflex [[1], [1]]`` (the sf_t3s
     example before its ``flexify``): subflexible, hence not flexible,
     by the source paper.
 
 The positives are x2, x1_plus_cycle and the datum ``flexify`` builds:
-each has a certificate, and it verifies.  Every search runs at width
-10^9, so no level is truncated and a miss at depth 7 is a miss at every
-depth up to 7.
+each has a certificate, and it verifies.  The ball, one flagged sphere
+over ``plumbing a1 n=2``, needs no step at all.  Every search runs at
+width 10^9, so no level is truncated and a miss at depth 7 is a miss at
+every depth up to 7.
 """
 
 import pytest
 
 from lefweave.certify import (
+    Certificate,
     flexify_after_handles,
     search_certificate,
     verify_certificate,
 )
 from lefweave.fibers import PlumbingTree, plumbing_lattice
-from lefweave.presentation import LefschetzDatum, subflexibilize, \
-    trivial_cycle
+from lefweave.presentation import LefschetzDatum, boundary_connect_sum, \
+    subflexibilize, trivial_cycle
 from lefweave.presets import x1, x1_plus_cycle, x2
 
 WIDTH = 10 ** 9
 DEPTH = 7
 
 
-def zero_sections(m, n):
-    """``[e1]*m`` over ``plumbing a1 n``."""
+def zero_sections(m, n, flagged=False):
+    """``[e1]*m`` over ``plumbing a1 n``, each cycle flagged as a
+    stabilization sphere if asked."""
     fiber = plumbing_lattice(PlumbingTree.path(1, prefix="e"), n)
-    return LefschetzDatum(
-        fiber, [trivial_cycle(fiber, fiber.basis_sphere("e1"))] * m)
+    return LefschetzDatum(fiber, [trivial_cycle(
+        fiber, fiber.basis_sphere("e1"), stabilization_sphere=flagged)] * m)
 
 
 def subflexible_tstar():
@@ -60,9 +66,23 @@ UNSOUND = pytest.mark.xfail(
     pytest.param(lambda: zero_sections(4, 3), id="A3-n3"),
     pytest.param(x1, marks=UNSOUND, id="x1"),
     pytest.param(subflexible_tstar, marks=UNSOUND, id="subflex-TS3"),
+    pytest.param(lambda: boundary_connect_sum(
+        zero_sections(3, 2), zero_sections(2, 2)), id="A2#TS3"),
 ))
 def test_a_domain_with_nonzero_sh_has_no_certificate(build):
     assert search_certificate(build(), DEPTH, WIDTH) is None
+
+
+def test_a_boundary_sum_with_a_flexible_summand_has_no_certificate():
+    # SH(T*S^3) x SH(x2) is not zero.  Depth 6 takes about 0.04 s;
+    # depth 7 about 22 s and 340 MB, too slow for these tests
+    D = boundary_connect_sum(zero_sections(2, 2), x2())
+    assert search_certificate(D, 6, WIDTH) is None
+
+
+def test_the_ball_is_subcritical_with_no_step():
+    cert = search_certificate(zero_sections(1, 2, flagged=True), DEPTH, WIDTH)
+    assert cert == Certificate((), (), "subcritical")
 
 
 @pytest.mark.parametrize("build", (x2, x1_plus_cycle), ids=("x2", "x1+cycle"))

@@ -131,8 +131,10 @@ def test_twist_word_drops_zero_exponents():
     lambda: IntLattice([[-2]], 2.5),
     lambda: SphereClass((1.5, 0)),
     lambda: TwistWord([(SphereClass((0, 1)), 1.5)], SphereClass((1, 0))),
+    lambda: smith_normal_form([[1.5]]),
+    lambda: smith_normal_form([[2.0, 0], [0, 3]]),
 ), ids=("fractional-gram", "fractional-n", "fractional-coords",
-        "fractional-exponent"))
+        "fractional-exponent", "fractional-snf-entry", "float-snf-entry"))
 def test_a_non_integer_is_a_lattice_error(build):
     # int() would truncate each to the integer below it
     with pytest.raises(LatticeError, match="must be integral"):

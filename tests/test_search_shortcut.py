@@ -3,11 +3,12 @@
 The search returns an accepting child as soon as it builds it.  On each
 level from which no later level can be truncated by the width, it also
 drops every child whose unflagged cycles outnumber the steps left, since
-a step flags at most one cycle (the flag budget; see
-certify.search_certificate).  The reference below is the level loop
-that builds every level before it looks for an accepting node, kept
-here as the oracle: its results are the results the search must give,
-at every depth and width, on seeded arc data and on the x1/x2 presets.
+a step flags at most one cycle, and every rotate or stabilize child with
+no step to spare (the flag budget; see certify.search_certificate).
+The reference below is the level loop that builds every level before
+it looks for an accepting node, kept here as the oracle: its results
+are the results the search must give, at every depth and width, on
+seeded arc data and on the x1/x2 presets.
 
 ``width_bound`` is the guard's exact bound: the number of candidate
 steps of the last level's parents.  At or above it the last level
@@ -253,6 +254,46 @@ def test_depth_3_builds_far_fewer_nodes(monkeypatch):
     calls, ref_calls, last_steps = check(D, 3, 10000, monkeypatch)
     assert last_steps is not None
     assert 5 * calls < ref_calls
+
+
+def test_depth_3_uncapped_builds_fewer_nodes(monkeypatch):
+    # with the flag budget alone, rotate and stabilize children kept
+    # down to a budget of u, the same searches made 1,437 calls
+    total = 0
+    for _, D in DATA:
+        total += check(D, 3, 10 ** 9, monkeypatch)[0]
+    assert total == 775
+
+
+def child_unflagged(step, flagged):
+    """Unflagged cycles of a step's child, read off the parent's flags."""
+    k, u = len(flagged), flagged.count(False)
+    tag = step[0]
+    if tag == "hurwitz_left":
+        return u + flagged[step[1][0] % k]
+    if tag == "hurwitz_right":
+        return u + flagged[step[1][0] - 1]
+    if tag == "certify_loose":
+        return u - (not flagged[step[1][0] % k])
+    return u
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_budget_table_needs_a_spare_step_for_rotate_and_stabilize(k):
+    key = (k, 3, "s4")
+    table = certify._step_table(*key)
+    for bits in range(2 ** k - 1):
+        flagged = tuple(bool(bits >> j & 1) for j in range(k))
+        u = flagged.count(False)
+        for budget in (u, u + 1):
+            kept = {step for step, _ in certify._budget_table(
+                key, flagged, budget)}
+            for step, _ in table:
+                if step[0] in ("rotate", "stabilize"):
+                    assert (step in kept) == (budget == u + 1)
+                else:
+                    assert (step in kept) == (
+                        child_unflagged(step, flagged) <= budget)
 
 
 # every (datum, depth) whose certificate at the benchmark's width has moves
