@@ -19,9 +19,10 @@ the trace.
 """
 
 import functools
+import math
 from collections import namedtuple
 
-from . import LefweaveError
+from . import LefweaveError, exact_ints
 from .lattice import pairing
 from .presentation import (
     LefschetzDatum,
@@ -52,6 +53,9 @@ def _cyclic_pair(D, i):
     k = len(D.cycles)
     if k < 2:
         raise CertifyError("need at least two cycles to certify", k=k)
+    # ints, which the search passes on every move, skip exact_ints
+    if type(i) is not int:
+        (i,) = exact_ints((i,), CertifyError, "certify position")
     if not 1 <= i <= k:
         raise CertifyError("certify position out of range", i=i, k=k)
     return i - 1, i % k
@@ -101,9 +105,14 @@ def insert_sphere(D, after, label):
     stabilize or subflexibilize step); its belt sphere joins the cycle
     list after position ``after`` (0 prepends), flagged accordingly.
     """
-    if label not in D.fiber.stabilizing_spheres:
+    try:
+        known = label in D.fiber.stabilizing_spheres
+    except TypeError:  # an unhashable label
+        known = False
+    if not known:
         raise CertifyError(
             "label does not name a stabilizing sphere", label=label)
+    (after,) = exact_ints((after,), CertifyError, "insert position")
     k = len(D.cycles)
     if not 0 <= after <= k:
         raise CertifyError("insert position out of range", after=after, k=k)
@@ -169,13 +178,18 @@ def step_text(tag, args):
 
 def apply_step(D, step):
     """Apply one (tag, args) certificate step through the move engine."""
-    tag, args = step
-    if tag not in STEPS:
+    try:
+        tag, args = step
+        row = STEPS.get(tag)
+        given = len(args)
+    except (TypeError, ValueError):
+        raise CertifyError("a step must be a (tag, args) pair",
+                           step=step) from None
+    if row is None:
         raise CertifyError("unknown move tag", tag=tag)
-    row = STEPS[tag]
-    if len(args) != len(row.kinds):
+    if given != len(row.kinds):
         raise CertifyError("wrong number of step arguments", tag=tag,
-                           expected=len(row.kinds), given=len(args))
+                           expected=len(row.kinds), given=given)
     return row.run(D, *args)
 
 
@@ -233,8 +247,11 @@ def verify_certificate(D, cert):
         try:
             moved = apply_step(current, step)
         except LefweaveError as err:
-            # the step as given: its arguments may not fit its tag
-            trace.append("%d: %s %r -> error: %s" % (idx, *step, err))
+            # the step as given: its arguments may not fit its tag, and
+            # it may be no (tag, args) pair at all
+            given = ("%s %r" % step if type(step) is tuple and len(step) == 2
+                     else repr(step))
+            trace.append("%d: %s -> error: %s" % (idx, given, err))
             return VerifyResult(
                 False, tuple(trace), "step %d: %s" % (idx, err), None)
         trace.append("%d: %s" % (idx, _describe(step, k)))
@@ -306,72 +323,48 @@ def _all_flagged(D):
                for c in D.cycles)
 
 
-@functools.lru_cache(maxsize=256)
-def _step_table(k, rank, label):
-    """Each candidate step on k cycles over a rank-``rank`` fiber whose
-    next handle is ``label``, paired with its summary entries.
+@functools.lru_cache(maxsize=1024)
+def _child_steps(rank, label, marks, budget):
+    """The (step, summary entries) rows of a node's children that can
+    still be finished within ``budget`` steps.
 
-    Canonical order: rotate, then hurwitz_left, hurwitz_right and
-    certify_loose by ascending position, then fiber stabilizations
-    along the basis-disk catalogue.
+    The node's fiber has rank ``rank`` and its next handle is
+    ``label``; ``marks`` gives each cycle as 0 (unflagged), 1
+    (loose-certified) or 2 (a stabilization sphere).  Canonical order:
+    rotate, then hurwitz_left, hurwitz_right and certify_loose by
+    ascending position, then fiber stabilizations along the basis-disk
+    catalogue.  A certify_loose row whose lead is not a sphere is
+    dropped, since the rule would refuse it.
+
+    A step flags at most one cycle, so a child with u unflagged cycles
+    needs u more steps: hurwitz_left i and hurwitz_right i put an
+    unflagged twisted cycle in place of cycle i % k + 1 and of cycle i,
+    certify_loose i flags cycle i % k + 1, and rotate and stabilize keep
+    every flag.  A rotate or stabilize child needs one step to spare: with
+    exactly u left, only u certify_loose steps, each flagging a new
+    cycle, can finish it.  Certifications change only flags; rotate keeps
+    every cyclic neighbour, and stabilize appends a sphere with an empty
+    word that no letter is about, so it can neither lead nor be
+    certified.  The same certifications, re-indexed, finish the parent
+    one level sooner, and a search with no truncated level returns at
+    that level or before: the child is never expanded.  A budget of
+    k + 1 drops only the refused certify_loose rows.
     """
-    steps = []
+    k, u = len(marks), marks.count(0)
+    rows = []
     if k >= 2:
-        steps.append(("rotate", ()))
-        for tag in ("hurwitz_left", "hurwitz_right", "certify_loose"):
-            steps.extend((tag, (i,)) for i in range(1, k + 1))
+        rows.append((("rotate", ()), u + 1))
+        rows.extend((("hurwitz_left", (i,)), u + (marks[i % k] > 0))
+                    for i in range(1, k + 1))
+        rows.extend((("hurwitz_right", (i,)), u + (marks[i - 1] > 0))
+                    for i in range(1, k + 1))
+        rows.extend((("certify_loose", (i,)), u - (marks[i % k] == 0))
+                    for i in range(1, k + 1) if marks[i - 1] == 2)
     for j in range(rank):
         unit = tuple(1 if t == j else 0 for t in range(rank))
-        steps.append(("stabilize", (unit, label)))
-    return tuple((step, step_certifications(step, k)) for step in steps)
-
-
-def _child_steps(D, budget=None):
-    """The shared (step, summary entries) table for D's children; given
-    a budget, only the rows that _budget_table keeps (a child has at
-    most k unflagged cycles, so a budget above k drops nothing)."""
-    key = (len(D.cycles), D.fiber.lattice.rank, stabilize_label(D.fiber))
-    if budget is None or budget > key[0]:
-        return _step_table(*key)
-    return _budget_table(key, tuple(
-        c.loose_certified or c.stabilization_sphere for c in D.cycles), budget)
-
-
-# a step i at a position reads the flag of cycle (i + offset) % k + 1
-_READS = {"hurwitz_left": 0, "hurwitz_right": -1, "certify_loose": 0}
-
-
-# steps that change no word, class or flag: their child needs a step to
-# spare
-_IDLE = ("rotate", "stabilize")
-
-
-@functools.lru_cache(maxsize=1024)
-def _budget_table(key, flagged, budget):
-    """The rows of _step_table(*key) whose child, from a parent flagged
-    as given, has at most ``budget`` unflagged cycles, or ``budget`` - 1
-    after a rotate or stabilize.
-
-    A step flags at most one cycle: rotate and stabilize keep every
-    flag, hurwitz_left i and hurwitz_right i put an unflagged twisted
-    cycle in place of cycle i % k + 1 and of cycle i, and certify_loose
-    i, the one step with summary entries, flags cycle i % k + 1.
-
-    A rotate or stabilize child with u unflagged cycles and a budget of
-    u can only be finished by u certify_loose steps, each flagging a new
-    cycle.  Certifications change only flags; rotate keeps every cyclic
-    neighbour, and stabilize appends a sphere with an empty word that no
-    letter is about, so it can neither lead nor be certified.  The same
-    certifications, re-indexed, accept from the parent one level sooner,
-    and a search with no truncated level returns at that level or
-    before: the child is never expanded.
-    """
-    u = flagged.count(False)
-    return tuple((step, certs) for step, certs in _step_table(*key)
-                 if budget >= u + (step[0] in _IDLE) + (
-                     step[0] in _READS and flagged[
-                         (step[1][0] + _READS[step[0]]) % key[0]]
-                     - bool(certs)))
+        rows.append((("stabilize", (unit, label)), u + 1))
+    return tuple((step, step_certifications(step, k))
+                 for step, needs in rows if needs <= budget)
 
 
 def search_certificate(D, depth, width):
@@ -383,18 +376,16 @@ def search_certificate(D, depth, width):
     step, certifications included.  A miss means "no certificate within
     bounds", nothing more.
 
-    A step flags at most one cycle, so a child with u unflagged cycles
-    needs u more steps, and a rotate or stabilize child, which changes
-    no word, class or flag, needs one to spare: with exactly u left, the
-    certifications that would finish it finish its parent one level
-    sooner.  A level drops the children short of those steps when no
-    level from there on can be truncated: its candidate steps fit in
-    ``width``, and so do each later level's, bounded by letting every
-    step add one cycle and one sphere.  The survivors keep their order,
-    and a dropped node can shadow, through ``seen``, only a node that
-    would be dropped too or is never expanded: results and width
-    semantics are those of building every level.
+    A level drops the children that cannot be finished in the steps left
+    (see _child_steps) when no level from there on can be truncated: its
+    candidate steps fit in ``width``, and so do each later level's,
+    bounded by letting every step add one cycle and one sphere.  The
+    survivors keep their order, and a dropped node can shadow, through
+    ``seen``, only a node that would be dropped too or is never
+    expanded: results and width semantics are those of building every
+    level.
     """
+    depth, width = exact_ints((depth, width), CertifyError, "search bounds")
     if depth < 0:
         raise CertifyError("depth must be nonnegative", depth=depth)
     if width < 1:
@@ -404,25 +395,28 @@ def search_certificate(D, depth, width):
     seen = {D}
     frontier = [(D, (), ())]
     for level in range(1, depth + 1):
-        bound = sum(len(_child_steps(d)) for d, _, _ in frontier)
-        # a node's steps are at most 1 + 3k + rank
-        most = max(1 + 3 * len(d.cycles) + d.fiber.lattice.rank
-                   for d, _, _ in frontier)
+        # the frontier's candidate steps, and the most one node has
+        bound = most = 0
+        for d, _, _ in frontier:
+            k, rank = len(d.cycles), d.fiber.lattice.rank
+            bound += (1 + 3 * k if k >= 2 else 0) + rank
+            most = max(most, 1 + 3 * k + rank)
         for j in range(1, depth - level + 1):
             if bound > width:
                 break
             bound *= most + 4 * j
-        budget = depth - level if bound <= width else None
+        # a budget above a node's cycle count drops no row the rule takes
+        spare = depth - level if bound <= width else math.inf
         grown = []
         for datum, moves, summary in frontier:
             if len(grown) >= width:
                 break
-            cycles = datum.cycles
-            for step, certs in _child_steps(datum, budget):
-                # only certify_loose steps carry entries; one whose lead
-                # is not a stabilization sphere would raise CertifyError
-                if certs and not cycles[step[1][0] - 1].stabilization_sphere:
-                    continue
+            marks = tuple(2 if c.stabilization_sphere else
+                          1 if c.loose_certified else 0
+                          for c in datum.cycles)
+            for step, certs in _child_steps(
+                    datum.fiber.lattice.rank, stabilize_label(datum.fiber),
+                    marks, min(spare, len(marks) + 1)):
                 try:
                     child = apply_step(datum, step)
                 except LefweaveError:

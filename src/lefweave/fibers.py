@@ -134,7 +134,11 @@ class FiberModel(Immutable):
         object.__setattr__(self, "basis_labels", basis_labels)
         object.__setattr__(self, "stabilizing_spheres", stab)
         object.__setattr__(self, "arc_system", arc_system)
-        key = (lattice, basis_labels, tuple(sorted(stab.items())),
+        try:
+            handles = tuple(sorted(stab.items()))
+        except TypeError:  # labels of types that do not compare
+            handles = tuple(sorted(stab.items(), key=repr))
+        key = (lattice, basis_labels, handles,
                None if arc_system is None else (arc_system.m, arc_system.n))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_key_hash", hash(key))

@@ -179,6 +179,9 @@ def _pair_positions(D, i):
     k = len(D.cycles)
     if k < 2:
         raise MoveError("need at least two cycles to move", k=k)
+    # ints, which the search passes on every move, skip exact_ints
+    if type(i) is not int:
+        (i,) = exact_ints((i,), MoveError, "move position")
     if not 1 <= i <= k:
         raise MoveError("move position out of range", i=i, k=k)
     return i - 1, i % k
@@ -261,7 +264,11 @@ def subflexibilize(D, disk_pairings):
     labelled s<i>, primed until free.
     """
     k = len(D.cycles)
-    disk_pairings = list(disk_pairings)
+    try:
+        disk_pairings = list(disk_pairings)
+    except TypeError:
+        raise MoveError("disk pairings must be a sequence",
+                        disks=disk_pairings) from None
     if len(disk_pairings) != k:
         raise MoveError("one pairing vector (or None) per cycle",
                         expected=k, got=len(disk_pairings))

@@ -85,6 +85,21 @@ def test_standard_arc_shape():
         standard_arc(sys, 0)
 
 
+@pytest.mark.parametrize("build,message", (
+    (lambda: ArcSystem(1), "at least 2 points"),
+    (lambda: ArcSystem(3, n=0), "fiber dimension must be positive"),
+    (lambda: apply_half_twist(ArcSystem(3), standard_arc(ArcSystem(4), 1),
+                              standard_arc(ArcSystem(3), 1)),
+     "different system"),
+    (lambda: apply_half_twist(ArcSystem(3), standard_arc(ArcSystem(3), 1),
+                              standard_arc(ArcSystem(4), 1)),
+     "different system"),
+), ids=("one-point", "n-0", "foreign-center", "foreign-target"))
+def test_a_malformed_arc_input_is_an_arc_error(build, message):
+    with pytest.raises(ArcError, match=message):
+        build()
+
+
 def test_half_twist_fixes_own_arc():
     for m in (2, 3, 5):
         sys = ArcSystem(m, n=2)

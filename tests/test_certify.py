@@ -249,6 +249,31 @@ def test_verify_rejects_wrong_arity_steps():
         assert "wrong number of step arguments" in res.reason
 
 
+def test_verify_rejects_malformed_steps():
+    D = presets.preset("x1")
+    pair = "a step must be a (tag, args) pair"
+    for step, reason in (
+            (("hurwitz_right", (2.0,)), "move position must be integral"),
+            (("certify_loose", (1.5,)), "certify position must be integral"),
+            (("insert_sphere", (1.5, "e2")),
+             "insert position must be integral"),
+            (("insert_sphere", (1, ["e2"])),
+             "label does not name a stabilizing sphere"),
+            (("hurwitz_left", ("1",)), "move position must be integral"),
+            (("subflex", (None,)), "disk pairings must be a sequence"),
+            (("rotate",), pair), ("rotate", pair), (("rotate", None), pair),
+            ((["rotate"], ()), pair)):
+        res = verify_certificate(D, Certificate((step,), (), "flexible"))
+        assert not res.accepted
+        assert res.reason == "step 1: " + reason
+        assert res.trace[-1].endswith(" -> error: " + reason)
+    # an int handle label beside the fiber's str ones is a fiber label
+    unit = (1,) + (0,) * (D.fiber.lattice.rank - 1)
+    res = verify_certificate(
+        D, Certificate((("stabilize", (unit, 1)),), (), "flexible"))
+    assert not res.accepted and res.reason.startswith("cycle ")
+
+
 def test_verify_marks_wraparound_in_trace():
     D = loose_ready_datum()
     flipped = LefschetzDatum(D.fiber, (D.cycles[1], D.cycles[0]))
@@ -463,7 +488,7 @@ def test_search_immediate_accepts():
 
 def test_search_validates_bounds():
     D = x1_datum()
-    for depth, width in ((-1, 10), (2, 0)):
+    for depth, width in ((-1, 10), (2, 0), (2.0, 10), (2, 2.5), (2, "10")):
         try:
             search_certificate(D, depth, width)
         except CertifyError:

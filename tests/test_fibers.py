@@ -79,6 +79,9 @@ def test_tree_validation():
         PlumbingTree(["a", "b"], [("a", "a")])
     with pytest.raises(FiberError):
         PlumbingTree(["a", "b"], [("a", "b", 2)])
+    for edge in (("a",), ("a", "b", 1, 1)):
+        with pytest.raises(FiberError, match="edge must be"):
+            PlumbingTree(["a", "b"], [edge])
     # a disconnected forest is fine
     F = plumbing_lattice(PlumbingTree(["a", "b"]), 2)
     assert F.lattice.gram == ((-2, 0), (0, -2))
@@ -113,6 +116,24 @@ def test_an_unhashable_label_is_a_fiber_error(build):
 def test_a_non_integer_is_a_fiber_error(build):
     # int() would truncate 1.5 to 1 and read "2" as 2
     with pytest.raises(FiberError, match="must be integral"):
+        build()
+
+
+A1 = plumbing_lattice(PlumbingTree.path(1), 2).lattice
+A2 = plumbing_lattice(PlumbingTree.path(2), 2).lattice
+
+
+@pytest.mark.parametrize("build,message", (
+    (lambda: FiberModel(A2, ["a"]), "one label per basis vector"),
+    (lambda: FiberModel(A2, ["a", "a"]), "duplicate basis labels"),
+    (lambda: FiberModel(A2, ["a", "b"], {"c": (1, 0)}),
+     "stabilizing label is not in the basis"),
+    (lambda: FiberModel(A1, ["a"], arc_system=ArcSystem(3)),
+     "arc system larger than the lattice"),
+), ids=("label-count", "duplicate-labels", "stabilizing-label-outside",
+        "arcs-past-rank"))
+def test_a_malformed_fiber_is_a_fiber_error(build, message):
+    with pytest.raises(FiberError, match=message):
         build()
 
 

@@ -141,6 +141,19 @@ def test_a_non_integer_is_a_lattice_error(build):
         build()
 
 
+@pytest.mark.parametrize("build,message", (
+    (lambda: IntLattice([[-2, 1]], 2), "must be square"),
+    (lambda: IntLattice([[-2]], 0), "n must be a positive integer"),
+    (lambda: a2_lattice(2).basis_sphere(3), "basis index out of range"),
+    (lambda: a2_lattice(2).basis_sphere(0), "basis index out of range"),
+    (lambda: smith_normal_form([[1, 2], [3]]), "ragged matrix"),
+), ids=("non-square-gram", "n-below-1", "basis-index-past-rank",
+        "basis-index-0", "ragged-snf"))
+def test_a_malformed_lattice_input_is_a_lattice_error(build, message):
+    with pytest.raises(LatticeError, match=message):
+        build()
+
+
 def test_word_inverse_composes_to_identity():
     rng = random.Random(11)
     L = a2_lattice(2)

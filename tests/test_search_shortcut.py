@@ -4,7 +4,7 @@ The search returns an accepting child as soon as it builds it.  On each
 level from which no later level can be truncated by the width, it also
 drops every child whose unflagged cycles outnumber the steps left, since
 a step flags at most one cycle, and every rotate or stabilize child with
-no step to spare (the flag budget; see certify.search_certificate).
+no step to spare (the flag budget; see certify._child_steps).
 The reference below is the level loop that builds every level before
 it looks for an accepting node, kept here as the oracle: its results
 are the results the search must give, at every depth and width, on
@@ -18,6 +18,7 @@ earlier level's bound is at least the last level's count, and the
 search builds every level as the reference does.
 """
 
+import itertools
 import random
 
 import pytest
@@ -36,14 +37,16 @@ FIXED_WIDTHS = (1, 3, 17, 10000)
 
 def reference_steps(D):
     """Candidate steps in canonical order, as a fresh list."""
-    k = len(D.cycles)
+    return candidate_steps(len(D.cycles), D.fiber.lattice.rank,
+                           stabilize_label(D.fiber))
+
+
+def candidate_steps(k, rank, label):
     steps = []
     if k >= 2:
         steps.append(("rotate", ()))
         for tag in ("hurwitz_left", "hurwitz_right", "certify_loose"):
             steps.extend((tag, (i,)) for i in range(1, k + 1))
-    rank = D.fiber.lattice.rank
-    label = stabilize_label(D.fiber)
     for j in range(rank):
         unit = tuple(1 if t == j else 0 for t in range(rank))
         steps.append(("stabilize", (unit, label)))
@@ -279,18 +282,25 @@ def child_unflagged(step, flagged):
 
 
 @pytest.mark.parametrize("k", (2, 3))
-def test_budget_table_needs_a_spare_step_for_rotate_and_stabilize(k):
-    key = (k, 3, "s4")
-    table = certify._step_table(*key)
-    for bits in range(2 ** k - 1):
-        flagged = tuple(bool(bits >> j & 1) for j in range(k))
+def test_child_steps_need_a_spare_step_for_rotate_and_stabilize(k):
+    table = candidate_steps(k, 3, "s4")
+    for marks in itertools.product((0, 1, 2), repeat=k):
+        flagged = tuple(m > 0 for m in marks)
         u = flagged.count(False)
-        for budget in (u, u + 1):
-            kept = {step for step, _ in certify._budget_table(
-                key, flagged, budget)}
-            for step, _ in table:
+        if not u:
+            continue
+        for budget in (u, u + 1, k + 1):
+            rows = certify._child_steps(3, "s4", marks, budget)
+            kept = [step for step, _ in rows]
+            assert kept == [step for step in table if step in kept]
+            assert all(certs == step_certifications(step, k)
+                       for step, certs in rows)
+            for step in table:
                 if step[0] in ("rotate", "stabilize"):
-                    assert (step in kept) == (budget == u + 1)
+                    assert (step in kept) == (budget > u)
+                elif step[0] == "certify_loose" and marks[step[1][0] - 1] < 2:
+                    # the lead is no stabilization sphere: the rule refuses
+                    assert step not in kept
                 else:
                     assert (step in kept) == (
                         child_unflagged(step, flagged) <= budget)
