@@ -122,12 +122,6 @@ def insert_sphere(D, after, label):
     return LefschetzDatum(D.fiber, cycles)
 
 
-def _bsum(D, other):
-    if not isinstance(other, LefschetzDatum):
-        raise CertifyError("bsum argument must be a datum")
-    return boundary_connect_sum(D, other)
-
-
 _Step = namedtuple("_Step", ("word", "kinds", "run"))
 
 # One row per move tag: the word that scripts and move texts use, the
@@ -147,7 +141,8 @@ STEPS = {
         lambda D, pairings, label: stabilize(D, pairings, label)),
     "subflex": _Step(
         "subflex", ("disks",), lambda D, disks: subflexibilize(D, disks)),
-    "bsum": _Step("bsum", ("datum",), lambda D, other: _bsum(D, other)),
+    "bsum": _Step("bsum", ("datum",),
+                  lambda D, other: boundary_connect_sum(D, other)),
     "insert_sphere": _Step(
         "insert-sphere", ("after", "label"),
         lambda D, after, label: insert_sphere(D, after, label)),
@@ -211,6 +206,22 @@ def terminal_claim(D):
     return "flexible"
 
 
+def replay(D, moves):
+    """Run a move list through the move engine from ``D``.
+
+    Returns the final datum and the certificate of the run: the moves,
+    the certifications they make, and the claim the final datum
+    justifies.  A failing step raises its engine error.
+    """
+    current, summary = D, []
+    for step in moves:
+        k = len(current.cycles)
+        current = apply_step(current, step)
+        summary.extend(step_certifications(step, k))
+    return current, Certificate(tuple(moves), tuple(summary),
+                                terminal_claim(current))
+
+
 def _describe(step, k):
     tag, args = step
     if tag in ("hurwitz_left", "hurwitz_right", "certify_loose"):
@@ -239,6 +250,12 @@ def verify_certificate(D, cert):
     the certification summary matches the replay, and the two passes
     agree on every class and flag.
     """
+    try:
+        moves, certifications, claim = cert
+        cert = Certificate(tuple(moves), tuple(certifications), claim)
+    except (TypeError, ValueError):
+        reason = "malformed certificate"
+        return VerifyResult(False, ("rejected: " + reason,), reason, None)
     trace = []
     current = D
     collected = []
@@ -274,7 +291,7 @@ def verify_certificate(D, cert):
                 "sphere")
     elif cert.terminal_claim != "flexible":
         return reject("unknown terminal claim %r" % (cert.terminal_claim,))
-    if tuple(collected) != tuple(cert.certifications):
+    if tuple(collected) != cert.certifications:
         return reject("certification summary mismatch")
     problem = _shadow_check(D, cert, current)
     if problem is not None:
@@ -309,13 +326,7 @@ def flexify_after_handles(D_sf):
         inserts.append(("insert_sphere", (q, label)))
         hurwitz.append(("hurwitz_right", (q,)))
         certs.append(("certify_loose", (q,)))
-    moves = tuple(inserts + hurwitz + certs)
-    current, summary = D_sf, []
-    for step in moves:
-        summary.extend(step_certifications(step, len(current.cycles)))
-        current = apply_step(current, step)
-    return current, Certificate(moves, tuple(summary),
-                                terminal_claim(current))
+    return replay(D_sf, inserts + hurwitz + certs)
 
 
 def _all_flagged(D):
@@ -391,7 +402,7 @@ def search_certificate(D, depth, width):
     if width < 1:
         raise CertifyError("width must be positive", width=width)
     if _all_flagged(D):
-        return Certificate((), (), terminal_claim(D))
+        return replay(D, ())[1]
     seen = {D}
     frontier = [(D, (), ())]
     for level in range(1, depth + 1):

@@ -20,10 +20,9 @@ from . import LefweaveError, __version__
 from .arcs import induced_word
 from .certify import (
     Certificate,
-    apply_step,
     flexify_after_handles,
+    replay,
     search_certificate,
-    step_certifications,
     step_text,
     terminal_claim,
     verify_certificate,
@@ -78,42 +77,23 @@ def _build_cycle(fiber, ast):
     return VanishingCycle(fiber.lattice, word, arc=arc)
 
 
-def _step_to_move(step, current, values):
-    tag, args = step
-    if tag == "stabilize":
-        args += (stabilize_label(current.fiber),)
-    elif tag == "bsum":
-        args = (values[args[0]],)
-    return (tag, args)
-
-
-def format_move(step, label=None):
-    """The one-line text form of a certificate step.
-
-    A bsum step prints ``label``, the summand's name, for its datum.
-    """
-    tag, args = step
-    if tag == "bsum":
-        args = ("<datum>" if label is None else label,)
-    return step_text(tag, args)
-
-
 def _run_script(base, steps, values):
     current = base
     moves, texts, summary = [], [], []
-    for step in steps:
-        if step[0] == "flexify":
+    for tag, args in steps:
+        if tag == "flexify":
             current, sub = flexify_after_handles(current)
-            moves.extend(sub.moves)
-            texts.extend(format_move(move) for move in sub.moves)
-            summary.extend(sub.certifications)
-            continue
-        move = _step_to_move(step, current, values)
-        summary.extend(step_certifications(move, len(current.cycles)))
-        current = apply_step(current, move)
-        moves.append(move)
-        texts.append(format_move(
-            move, label=step[1][0] if step[0] == "bsum" else None))
+            texts.extend(step_text(*move) for move in sub.moves)
+        else:
+            if tag == "stabilize":
+                args += (stabilize_label(current.fiber),)
+            # a bsum's text names its summand
+            texts.append(step_text(tag, args))
+            if tag == "bsum":
+                args = (values[args[0]],)
+            current, sub = replay(current, ((tag, args),))
+        moves.extend(sub.moves)
+        summary.extend(sub.certifications)
     cert = Certificate(tuple(moves), tuple(summary), terminal_claim(current))
     return current, cert, tuple(texts)
 
@@ -142,7 +122,7 @@ def invariants_payload(inv):
 def certificate_payload(cert, texts=None):
     """The canonical JSON payload of a Certificate."""
     if texts is None:
-        texts = tuple(format_move(step) for step in cert.moves)
+        texts = tuple(step_text(*step) for step in cert.moves)
     return {
         "moves": list(texts),
         "certifications": [[pos, rule] for pos, rule in cert.certifications],

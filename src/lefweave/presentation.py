@@ -306,6 +306,8 @@ def subflexibilize(D, disk_pairings):
 
 def boundary_connect_sum(D1, D2):
     """Join two data: orthogonal fiber sum, cycle lists concatenated."""
+    if not isinstance(D2, LefschetzDatum):
+        raise MoveError("bsum argument must be a datum")
     if D1.n != D2.n:
         raise MoveError("parity mismatch", n1=D1.n, n2=D2.n)
     r1 = D1.fiber.lattice.rank

@@ -21,6 +21,8 @@ stabilization-sphere cycle S directly before a cycle whose word is
 
 import random
 
+import pytest
+
 from lefweave import LefweaveError, presets
 from lefweave.certify import (
     Certificate,
@@ -272,6 +274,21 @@ def test_verify_rejects_malformed_steps():
     res = verify_certificate(
         D, Certificate((("stabilize", (unit, 1)),), (), "flexible"))
     assert not res.accepted and res.reason.startswith("cycle ")
+
+
+X2_MOVES = (("hurwitz_right", (2,)), ("certify_loose", (2,)))
+
+
+@pytest.mark.parametrize("cert", (
+    Certificate(None, (), "flexible"), Certificate(5, (), "flexible"),
+    Certificate(X2_MOVES, None, "flexible"),
+    Certificate(X2_MOVES, 5, "flexible"), ("x",), None))
+def test_verify_rejects_a_malformed_certificate(cert):
+    res = verify_certificate(presets.x2(), cert)
+    assert not res.accepted
+    assert res.reason == "malformed certificate"
+    assert res.trace == ("rejected: malformed certificate",)
+    assert res.final is None
 
 
 def test_verify_marks_wraparound_in_trace():

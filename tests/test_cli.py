@@ -14,9 +14,9 @@ import sys
 import pytest
 
 from lefweave import cli
-from lefweave.certify import Certificate
-from lefweave.cli import (certificate_payload, execute, format_move,
-                          invariants_payload, main, render)
+from lefweave.certify import Certificate, step_text
+from lefweave.cli import (certificate_payload, execute, invariants_payload,
+                          main, render)
 from lefweave.dsl import parse, pretty_print
 from lefweave.invariants import total_space_invariants
 from lefweave.presets import x1
@@ -285,15 +285,14 @@ def test_export_json():
 
 
 def test_format_move_all_tags():
-    assert format_move(("rotate", ())) == "rotate"
-    assert format_move(("hurwitz_left", (2,))) == "hurwitzL 2"
-    assert format_move(("hurwitz_right", (1,))) == "hurwitzR 1"
-    assert format_move(("certify_loose", (3,))) == "certify-loose 3"
-    assert format_move(("insert_sphere", (2, "e2"))) == "insert-sphere 2 e2"
-    assert format_move(("stabilize", ((0, 1), "s3"))) == "stabilize [0, 1] s3"
-    assert format_move(("subflex", (((1,), None),))) == "subflex [[1], none]"
-    assert format_move(("bsum", (None,)), label="D") == "bsum D"
-    assert format_move(("bsum", (None,))) == "bsum <datum>"
+    assert step_text("rotate", ()) == "rotate"
+    assert step_text("hurwitz_left", (2,)) == "hurwitzL 2"
+    assert step_text("hurwitz_right", (1,)) == "hurwitzR 1"
+    assert step_text("certify_loose", (3,)) == "certify-loose 3"
+    assert step_text("insert_sphere", (2, "e2")) == "insert-sphere 2 e2"
+    assert step_text("stabilize", ((0, 1), "s3")) == "stabilize [0, 1] s3"
+    assert step_text("subflex", (((1,), None),)) == "subflex [[1], none]"
+    assert step_text("bsum", ("D",)) == "bsum D"
 
 
 HURWITZ_SCRIPT = "script s on A {\n  hurwitzL 1;\n}\nverify s\n"

@@ -35,6 +35,7 @@ from lefweave.presentation import (
     subflexibilize,
     trivial_cycle,
 )
+from lefweave.presets import x2
 
 
 def a2_datum(n=2):
@@ -351,6 +352,12 @@ def test_boundary_connect_sum_identity_and_errors():
         assert False
     except MoveError:
         pass
+
+
+@pytest.mark.parametrize("other", ("X", None, 5))
+def test_boundary_connect_sum_rejects_a_non_datum_summand(other):
+    with pytest.raises(MoveError, match="bsum argument must be a datum"):
+        boundary_connect_sum(x2(), other)
 
 
 def test_boundary_connect_sum_keeps_handle_labels():

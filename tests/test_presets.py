@@ -16,14 +16,20 @@ Frozen values (hand-derived):
 (* marks the stabilization_sphere flag.)
 """
 
+import pytest
+
 from lefweave.arcs import arc_to_class, standard_arc
 from lefweave.certify import (
     Certificate,
+    CertifyError,
     flexify_after_handles,
+    replay,
     search_certificate,
+    terminal_claim,
     verify_certificate,
 )
 from lefweave.invariants import total_space_homology
+from lefweave.presentation import MoveError
 from lefweave.presets import PRESETS, PresetError, preset, x1, \
     x1_plus_cycle, x2
 
@@ -130,6 +136,22 @@ def test_x2_certificate_and_search():
     assert res.final.cycles[2].word.letters[0][1] == 1
     assert search_certificate(D, 2, 1000) == TWO_STEP
     assert search_certificate(D, 1, 1000) is None
+
+
+def test_replay_gives_the_two_step_certificate():
+    D = x2()
+    final, cert = replay(D, TWO_STEP.moves)
+    assert cert == TWO_STEP
+    assert final == verify_certificate(D, cert).final
+
+
+def test_replay_of_no_moves_and_of_a_failing_step():
+    D = x2()
+    assert replay(D, ()) == (D, Certificate((), (), terminal_claim(D)))
+    with pytest.raises(MoveError, match="position out of range"):
+        replay(D, TWO_STEP.moves + (("hurwitz_right", (9,)),))
+    with pytest.raises(CertifyError, match="a step must be a"):
+        replay(D, (("rotate",),))
 
 
 def test_preset_lookup():

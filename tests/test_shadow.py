@@ -6,13 +6,17 @@ The tests below make the engine lie in one way at a time: each wraps
 certify.rule_loose_pair, which the step table calls through the module
 name, so the engine pass completes and only the shadow can object.
 
-The shadow is a check only while it shares no code with the engine; the
-last test reads shadow.py and guards that.
+The shadow's own rejections, of steps the engine refuses first, are
+driven through its entry points directly.  The shadow is a check only
+while it shares no code with the engine; the last test reads shadow.py
+and guards that.
 """
 
 import ast
 import inspect
 import sys
+
+import pytest
 
 from lefweave import certify, presets, shadow
 from lefweave.certify import Certificate, verify_certificate
@@ -108,6 +112,49 @@ def test_an_unchecked_certification_rejects(monkeypatch):
     cert = Certificate((("certify_loose", (1,)),), ((2, "loose_pair"),),
                        "flexible")
     assert rejection(presets.x1(), cert) == "shadow: head letter mismatch"
+
+
+# --- the shadow's own rejections ----------------------------------------
+
+# The engine refuses each of these steps first, so verify_certificate
+# never hands them to the shadow; they are driven through _sh_apply on
+# x2's raw state (4 cycles over the rank-4 A4 fiber, catalogue e2, e4).
+SHADOW_REJECTIONS = (
+    (("hurwitz_left", (9,)), "shadow: bad pair position"),
+    (("certify_loose", (0,)), "shadow: bad pair position"),
+    (("stabilize", ((1, 0), "s5")), "shadow: pairing length mismatch"),
+    (("stabilize", ((1, 0, 0, 0), "e1")), "shadow: label collision"),
+    (("subflex", ([None],)), "shadow: one disk per cycle"),
+    (("subflex", ([(1, 0), None, None, None],)),
+     "shadow: disk length mismatch"),
+    (("insert_sphere", (5, "e2")), "shadow: bad insert position"),
+    (("insert_sphere", (-1, "e4")), "shadow: bad insert position"),
+    (("warp", ()), "shadow: unknown move tag"),
+)
+
+
+@pytest.mark.parametrize("step, message", SHADOW_REJECTIONS)
+def test_the_shadow_rejects_a_bad_step(step, message):
+    state = shadow._shadow_state(presets.x2())
+    with pytest.raises(shadow.ShadowError) as err:
+        shadow._sh_apply(state, step)
+    assert str(err.value) == message
+
+
+def test_the_shadow_rejects_an_invalid_twist_center():
+    state = shadow._shadow_state(presets.x2())
+    # e1 + e3 has self-pairing -4, so no Dehn twist is about it
+    follow = state["cycles"][1]
+    state["cycles"][1] = follow._replace(letters=(((1, 0, 1, 0), 1),))
+    with pytest.raises(shadow.ShadowError) as err:
+        shadow._sh_apply(state, ("hurwitz_right", (1,)))
+    assert str(err.value) == "shadow: invalid twist center"
+
+
+def test_the_shadow_check_rejects_an_uncertified_cycle():
+    D = presets.x2()
+    assert shadow._shadow_check(D, Certificate((), (), "flexible"), D) == \
+        "an uncertified cycle remains"
 
 
 # --- independence ------------------------------------------------------
