@@ -348,29 +348,47 @@ def _child_steps(rank, label, marks, budget):
     dropped, since the rule would refuse it.
 
     A step flags at most one cycle, so a child with u unflagged cycles
-    needs u more steps: hurwitz_left i and hurwitz_right i put an
-    unflagged twisted cycle in place of cycle i % k + 1 and of cycle i,
-    certify_loose i flags cycle i % k + 1, and rotate and stabilize keep
-    every flag.  A rotate or stabilize child needs one step to spare: with
-    exactly u left, only u certify_loose steps, each flagging a new
-    cycle, can finish it.  Certifications change only flags; rotate keeps
-    every cyclic neighbour, and stabilize appends a sphere with an empty
-    word that no letter is about, so it can neither lead nor be
-    certified.  The same certifications, re-indexed, finish the parent
-    one level sooner, and a search with no truncated level returns at
-    that level or before: the child is never expanded.  A budget of
-    k + 1 drops only the refused certify_loose rows.
+    needs u more steps.  hurwitz_left i takes the pair (a, b) at
+    positions i, i % k + 1 to (0, a): an unflagged twisted cycle, then
+    the lead; hurwitz_right i takes it to (b, 0); certify_loose i flags
+    cycle i % k + 1; rotate and stabilize keep every flag.
+
+    With exactly u steps left, only u certify_loose steps, each flagging
+    a new cycle, can finish a child.  They move no cycle and change no
+    sphere flag, and the rule refuses a lead that is not a sphere, so
+    each unflagged cycle must already sit directly after a sphere,
+    cyclically: a hurwitz or certify_loose child that is not so ready
+    needs u + 1.  The verdict reads the child's marks alone, so an equal
+    child reached at the same level or deeper is dropped too.
+
+    A rotate or stabilize child needs one step to spare: certifications
+    change only flags; rotate keeps every cyclic neighbour, and
+    stabilize appends a sphere with an empty word that no letter is
+    about, so it can neither lead nor be certified.  The same
+    certifications, re-indexed, finish the parent one level sooner, and
+    a search with no truncated level returns at that level or before:
+    the child is never expanded.  Every need is at most k + 1, so a
+    budget of k + 1 drops only the refused certify_loose rows.
     """
     k, u = len(marks), marks.count(0)
+
+    def need(i, lead, follow):
+        # the child's marks: the pair at position i becomes (lead, follow)
+        child = list(marks)
+        child[i - 1], child[i % k] = lead, follow
+        return child.count(0) + any(
+            m == 0 and child[j - 1] != 2 for j, m in enumerate(child))
+
     rows = []
     if k >= 2:
+        pairs = [(i, marks[i - 1], marks[i % k]) for i in range(1, k + 1)]
         rows.append((("rotate", ()), u + 1))
-        rows.extend((("hurwitz_left", (i,)), u + (marks[i % k] > 0))
-                    for i in range(1, k + 1))
-        rows.extend((("hurwitz_right", (i,)), u + (marks[i - 1] > 0))
-                    for i in range(1, k + 1))
-        rows.extend((("certify_loose", (i,)), u - (marks[i % k] == 0))
-                    for i in range(1, k + 1) if marks[i - 1] == 2)
+        rows.extend((("hurwitz_left", (i,)), need(i, 0, a))
+                    for i, a, b in pairs)
+        rows.extend((("hurwitz_right", (i,)), need(i, b, 0))
+                    for i, a, b in pairs)
+        rows.extend((("certify_loose", (i,)), need(i, a, b or 1))
+                    for i, a, b in pairs if a == 2)
     for j in range(rank):
         unit = tuple(1 if t == j else 0 for t in range(rank))
         rows.append((("stabilize", (unit, label)), u + 1))
@@ -388,13 +406,16 @@ def search_certificate(D, depth, width):
     bounds", nothing more.
 
     A level drops the children that cannot be finished in the steps left
-    (see _child_steps) when no level from there on can be truncated: its
-    candidate steps fit in ``width``, and so do each later level's,
-    bounded by letting every step add one cycle and one sphere.  The
-    survivors keep their order, and a dropped node can shadow, through
-    ``seen``, only a node that would be dropped too or is never
-    expanded: results and width semantics are those of building every
-    level.
+    (see _child_steps) when no level from there on can be truncated: a
+    step flags at most one cycle, a rotate or stabilize child needs one
+    step to spare, and so does any other child unless each unflagged
+    cycle sits directly after a stabilization sphere.  No level can be
+    truncated when its candidate steps fit in ``width``, and so do each
+    later level's, bounded by letting every step add one cycle and one
+    sphere.  The survivors keep their order, and a dropped node can
+    shadow, through ``seen``, only a node that would be dropped too or is
+    never expanded: results and width semantics are those of building
+    every level.
     """
     depth, width = exact_ints((depth, width), CertifyError, "search bounds")
     if depth < 0:

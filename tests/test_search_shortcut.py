@@ -4,7 +4,12 @@ The search returns an accepting child as soon as it builds it.  On each
 level from which no later level can be truncated by the width, it also
 drops every child whose unflagged cycles outnumber the steps left, since
 a step flags at most one cycle, and every rotate or stabilize child with
-no step to spare (the flag budget; see certify._child_steps).
+no step to spare (the flag budget; see certify._child_steps).  Any other
+child with no step to spare is dropped unless each unflagged cycle sits
+directly after a stabilization sphere, cyclically: only certifications
+can then finish it, and they move nothing and need a sphere lead.  The
+row test checks each row's need against a breadth-first search over the
+marks (0 unflagged, 1 loose, 2 sphere) alone.
 The reference below is the level loop that builds every level before
 it looks for an accepting node, kept here as the oracle: its results
 are the results the search must give, at every depth and width, on
@@ -18,6 +23,7 @@ earlier level's bound is at least the last level's count, and the
 search builds every level as the reference does.
 """
 
+import functools
 import itertools
 import random
 
@@ -260,36 +266,78 @@ def test_depth_3_builds_far_fewer_nodes(monkeypatch):
 
 
 def test_depth_3_uncapped_builds_fewer_nodes(monkeypatch):
-    # with the flag budget alone, rotate and stabilize children kept
-    # down to a budget of u, the same searches made 1,437 calls
+    # the same searches made 1,437 calls with the flag budget alone, 775
+    # once rotate and stabilize children needed a spare step, and 648
+    # once an unready hurwitz or certify_loose child needs one too
     total = 0
     for _, D in DATA:
         total += check(D, 3, 10 ** 9, monkeypatch)[0]
-    assert total == 775
+    assert total == 648
 
 
-def child_unflagged(step, flagged):
-    """Unflagged cycles of a step's child, read off the parent's flags."""
-    k, u = len(flagged), flagged.count(False)
+def moved_marks(step, marks):
+    """The marks of a rotate, hurwitz, certify_loose or stabilize child
+    in the model of flags alone: a twisted cycle is unflagged, every
+    other cycle keeps its mark, and stabilize appends a sphere."""
+    k = len(marks)
     tag = step[0]
+    if tag == "rotate":
+        return marks[1:] + marks[:1]
+    if tag == "stabilize":
+        return marks + (2,)
+    i = step[1][0]
+    child = list(marks)
+    lead, follow = marks[i - 1], marks[i % k]
     if tag == "hurwitz_left":
-        return u + flagged[step[1][0] % k]
-    if tag == "hurwitz_right":
-        return u + flagged[step[1][0] - 1]
-    if tag == "certify_loose":
-        return u - (not flagged[step[1][0] % k])
-    return u
+        child[i - 1], child[i % k] = 0, lead
+    elif tag == "hurwitz_right":
+        child[i - 1], child[i % k] = follow, 0
+    else:
+        child[i % k] = follow or 1
+    return tuple(child)
 
 
-@pytest.mark.parametrize("k", (2, 3))
+def model_moves(marks):
+    """Every child of a marks tuple: certify_loose needs a sphere lead
+    and nothing more of its pair."""
+    k = len(marks)
+    steps = candidate_steps(k, 1, "s")
+    return [moved_marks(step, marks) for step in steps
+            if step[0] != "certify_loose" or marks[step[1][0] - 1] == 2]
+
+
+@functools.lru_cache(maxsize=None)
+def fewest_steps(marks, cap):
+    """Breadth-first: the fewest model moves that leave no 0 in
+    ``marks``, or cap + 1 if more than ``cap`` are needed."""
+    frontier, seen = [marks], {marks}
+    for steps in range(cap + 1):
+        if any(0 not in m for m in frontier):
+            return steps
+        grown = []
+        for m in frontier:
+            for child in model_moves(m):
+                if child not in seen:
+                    seen.add(child)
+                    grown.append(child)
+        frontier = grown
+    return cap + 1
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
 def test_child_steps_need_a_spare_step_for_rotate_and_stabilize(k):
+    """Every row of every marks tuple at every budget up to k + 1.
+
+    A rotate or stabilize row needs u + 1.  A hurwitz or certify_loose
+    row is dropped at budget b only if the breadth-first search over
+    marks needs more than b moves to finish its child, and its need is
+    that search's minimum, capped at one beyond the child's unflagged
+    cycles: a child that u' certifications cannot finish needs u' + 1.
+    """
     table = candidate_steps(k, 3, "s4")
     for marks in itertools.product((0, 1, 2), repeat=k):
-        flagged = tuple(m > 0 for m in marks)
-        u = flagged.count(False)
-        if not u:
-            continue
-        for budget in (u, u + 1, k + 1):
+        u = marks.count(0)
+        for budget in range(k + 2):
             rows = certify._child_steps(3, "s4", marks, budget)
             kept = [step for step, _ in rows]
             assert kept == [step for step in table if step in kept]
@@ -297,13 +345,22 @@ def test_child_steps_need_a_spare_step_for_rotate_and_stabilize(k):
                        for step, certs in rows)
             for step in table:
                 if step[0] in ("rotate", "stabilize"):
-                    assert (step in kept) == (budget > u)
+                    assert (step in kept) == (u + 1 <= budget)
                 elif step[0] == "certify_loose" and marks[step[1][0] - 1] < 2:
                     # the lead is no stabilization sphere: the rule refuses
                     assert step not in kept
                 else:
+                    child = moved_marks(step, marks)
+                    fewest = fewest_steps(child, k + 1)
+                    if step not in kept:
+                        assert fewest > budget, (marks, step, budget)
                     assert (step in kept) == (
-                        child_unflagged(step, flagged) <= budget)
+                        min(fewest, child.count(0) + 1) <= budget), \
+                        (marks, step, budget)
+            if budget == k + 1:
+                assert kept == [
+                    step for step in table if step[0] != "certify_loose"
+                    or marks[step[1][0] - 1] == 2]
 
 
 # every (datum, depth) whose certificate at the benchmark's width has moves
