@@ -396,14 +396,35 @@ def _child_steps(rank, label, marks, budget):
                  for step, needs in rows if needs <= budget)
 
 
+def _children(frontier, seen, spare):
+    """Yield each unseen (child, moves, summary) of the frontier in
+    canonical order, adding the child to ``seen``; a node keeps the rows
+    it can finish in ``spare`` steps (see _child_steps)."""
+    for datum, moves, summary in frontier:
+        marks = tuple(2 if c.stabilization_sphere else
+                      1 if c.loose_certified else 0
+                      for c in datum.cycles)
+        for step, certs in _child_steps(
+                datum.fiber.lattice.rank, stabilize_label(datum.fiber),
+                marks, min(spare, len(marks) + 1)):
+            try:
+                child = apply_step(datum, step)
+            except LefweaveError:
+                continue
+            if child in seen:
+                continue
+            seen.add(child)
+            yield child, moves + (step,), summary + certs
+
+
 def search_certificate(D, depth, width):
     """Breadth-first search for an accepting certificate.
 
-    Deterministic: children are built in canonical step order, each
-    level is truncated to ``width`` nodes, and the first accepting node
-    wins; it is returned as soon as it is built.  Depth counts every
-    step, certifications included.  A miss means "no certificate within
-    bounds", nothing more.
+    Deterministic: level 0 is ``D`` alone, children are built in
+    canonical step order, each level is truncated to ``width`` nodes, and
+    the first accepting node wins; it is returned as soon as it is
+    built.  Depth counts every step, certifications included.  A miss
+    means "no certificate within bounds", nothing more.
 
     A level drops the children that cannot be finished in the steps left
     (see _child_steps) when no level from there on can be truncated: a
@@ -422,47 +443,29 @@ def search_certificate(D, depth, width):
         raise CertifyError("depth must be nonnegative", depth=depth)
     if width < 1:
         raise CertifyError("width must be positive", width=width)
-    if _all_flagged(D):
-        return replay(D, ())[1]
     seen = {D}
-    frontier = [(D, (), ())]
-    for level in range(1, depth + 1):
+    level = [(D, (), ())]
+    for left in range(depth, -1, -1):
+        frontier = []
+        for node in level:
+            datum, moves, summary = node
+            if _all_flagged(datum):
+                return Certificate(moves, summary, terminal_claim(datum))
+            frontier.append(node)
+            if len(frontier) == width:
+                break
+        if not frontier or not left:
+            return None
         # the frontier's candidate steps, and the most one node has
         bound = most = 0
         for d, _, _ in frontier:
             k, rank = len(d.cycles), d.fiber.lattice.rank
             bound += (1 + 3 * k if k >= 2 else 0) + rank
             most = max(most, 1 + 3 * k + rank)
-        for j in range(1, depth - level + 1):
+        for j in range(1, left):
             if bound > width:
                 break
             bound *= most + 4 * j
         # a budget above a node's cycle count drops no row the rule takes
-        spare = depth - level if bound <= width else math.inf
-        grown = []
-        for datum, moves, summary in frontier:
-            if len(grown) >= width:
-                break
-            marks = tuple(2 if c.stabilization_sphere else
-                          1 if c.loose_certified else 0
-                          for c in datum.cycles)
-            for step, certs in _child_steps(
-                    datum.fiber.lattice.rank, stabilize_label(datum.fiber),
-                    marks, min(spare, len(marks) + 1)):
-                try:
-                    child = apply_step(datum, step)
-                except LefweaveError:
-                    continue
-                if child in seen:
-                    continue
-                if _all_flagged(child):
-                    return Certificate(moves + (step,), summary + certs,
-                                       terminal_claim(child))
-                seen.add(child)
-                grown.append((child, moves + (step,), summary + certs))
-                if len(grown) >= width:
-                    break
-        if not grown:
-            break
-        frontier = grown
-    return None
+        level = _children(frontier, seen,
+                          left - 1 if bound <= width else math.inf)

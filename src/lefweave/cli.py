@@ -229,7 +229,13 @@ class _Session:
         })
 
 
-def execute(workspace, depth_default=4, width_default=10000):
+# the bounds of a script's search that gives none, unless the command
+# line sets others
+DEPTH_DEFAULT, WIDTH_DEFAULT = 4, 10000
+
+
+def execute(workspace, depth_default=DEPTH_DEFAULT,
+            width_default=WIDTH_DEFAULT):
     """Run a parsed workspace; returns (results, exit_status)."""
     return _Session(workspace, depth_default, width_default).run()
 
@@ -258,10 +264,11 @@ def main(argv=None):
     run_parser.add_argument("file")
     run_parser.add_argument("--json-out", metavar="PATH",
                             help="also write the JSON document here")
-    run_parser.add_argument("--depth", type=int, default=4,
-                            help="default search depth (default 4)")
-    run_parser.add_argument("--width", type=int, default=10000,
-                            help="default search beam width (default 10000)")
+    run_parser.add_argument("--depth", type=int, default=DEPTH_DEFAULT,
+                            help="default search depth (default %(default)s)")
+    run_parser.add_argument("--width", type=int, default=WIDTH_DEFAULT,
+                            help="default search beam width "
+                            "(default %(default)s)")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="echoed in the output metadata")
     check_parser = sub.add_parser(

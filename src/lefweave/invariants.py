@@ -23,12 +23,13 @@ stored.  The diagonal is the matching-sphere normalization: a cycle
 pair (V, V) presents D*S^(n+1), whose generator t_1 - t_2 must
 self-pair as the sphere S^(n+1) does.
 
-The thimble sign s is -1 at n = 1 mod 4 and +1 otherwise.  Odd-n
-twists are x + <x,S> S at every odd n, while the diagonal is -2 at
-n = 1 mod 4 and +2 at n = 3 mod 4; with s the off-diagonal entries
-follow the diagonal's sign, so that Hurwitz moves, which act on the
-thimbles by elementary unimodular matrices, preserve Q at every n
-(cf. Seidel, Fukaya categories and Picard-Lefschetz theory, EMS 2008).
+The thimble sign s is the diagonal's sign, +1 where the diagonal is 0.
+Odd-n twists are x + <x,S> S at every odd n, while the diagonal is -2
+at n = 1 mod 4 and +2 at n = 3 mod 4, so s is -1 at n = 1 mod 4 and +1
+otherwise; with s the off-diagonal entries follow the diagonal's sign,
+so that Hurwitz moves, which act on the thimbles by elementary
+unimodular matrices, preserve Q at every n (cf. Seidel, Fukaya
+categories and Picard-Lefschetz theory, EMS 2008).
 
 All arithmetic is in integers: the signature of Q comes from
 fraction-free symmetric elimination (Bareiss, Math. Comp. 22 (1968)).
@@ -131,10 +132,10 @@ def _middle_form(D, kernel):
     lattice = D.fiber.lattice
     klasses = [cyc.klass for cyc in D.cycles]
     k = len(klasses)
-    # the thimble sign s of the module docstring
-    sign = -1 if n % 4 == 1 else 1
-    flip = pairing_sign(n + 1)
     diag = sphere_self_pairing(n + 1)
+    # the thimble sign s of the module docstring
+    sign = -1 if diag < 0 else 1
+    flip = pairing_sign(n + 1)
     # the upper triangle of Q2; entries on and below the diagonal unused
     q2 = [[sign * pairing(lattice, klasses[i], klasses[j]) if j > i else 0
            for j in range(k)] for i in range(k)]

@@ -37,10 +37,9 @@ class VanishingCycle(Immutable):
     __slots__ = ("word", "klass", "arc", "stabilization_sphere",
                  "loose_certified", "_hash", "_grown")
 
-    def __init__(self, lattice, word, arc=None, stabilization_sphere=False,
-                 loose_certified=False):
+    def __init__(self, lattice, word, arc=None, stabilization_sphere=False):
         self._fill(word, evaluate_word(lattice, word), arc,
-                   stabilization_sphere, loose_certified)
+                   stabilization_sphere, False)
 
     @classmethod
     def _derived(cls, word, klass, arc=None, stabilization_sphere=False,
@@ -98,12 +97,10 @@ class VanishingCycle(Immutable):
             self.klass.coords, ", ".join([""] + flags))
 
 
-def trivial_cycle(fiber, klass, arc=None, stabilization_sphere=False,
-                  loose_certified=False):
+def trivial_cycle(fiber, klass, stabilization_sphere=False):
     """A cycle with an empty twist word on the given class."""
-    return VanishingCycle(fiber.lattice, TwistWord((), klass), arc=arc,
-                          stabilization_sphere=stabilization_sphere,
-                          loose_certified=loose_certified)
+    return VanishingCycle(fiber.lattice, TwistWord((), klass),
+                          stabilization_sphere=stabilization_sphere)
 
 
 class LefschetzDatum(Immutable):

@@ -70,6 +70,12 @@ UNSOUND = pytest.mark.xfail(
         zero_sections(3, 2), zero_sections(2, 2)), id="A2#TS3"),
     pytest.param(lambda: boundary_connect_sum(
         zero_sections(2, 2), zero_sections(2, 2)), id="TS3#TS3"),
+    pytest.param(lambda: boundary_connect_sum(
+        zero_sections(3, 2), zero_sections(3, 2)), id="A2#A2"),
+    pytest.param(lambda: boundary_connect_sum(
+        zero_sections(3, 3), zero_sections(2, 3)), id="A2#TS4"),
+    pytest.param(lambda: boundary_connect_sum(
+        zero_sections(2, 3), zero_sections(2, 3)), id="TS4#TS4"),
 ))
 def test_a_domain_with_nonzero_sh_has_no_certificate(build):
     assert search_certificate(build(), DEPTH, WIDTH) is None

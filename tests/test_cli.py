@@ -147,6 +147,21 @@ def test_search_hit_and_miss(tmp_path, capsys):
         assert entry["found"] is found
 
 
+def test_search_width_past_sys_maxsize(tmp_path, capsys):
+    """A width above sys.maxsize searches as a width no level reaches."""
+    width = 10 ** 20
+    assert width > sys.maxsize
+    text = "datum P = preset x2\nsearch P depth=2 width=%d\n" % width
+    bare = text.rsplit(" depth=", 1)[0] + "\n"
+    for script, options in ((text, []),
+                            (bare, ["--depth", "2", "--width", str(width)])):
+        status, out, err = run_main(
+            capsys, ["run", write(tmp_path, script)] + options)
+        assert status == 0 and err == ""
+        (entry,) = json.loads(out)["results"]
+        assert entry["width"] == width and entry["found"] is True
+
+
 def test_runtime_error_exits_2(tmp_path, capsys):
     text = (
         "fiber a1 = ak 2 n=2\n"

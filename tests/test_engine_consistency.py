@@ -97,11 +97,11 @@ def rebuilt(D):
     for cyc in D.cycles:
         word = TwistWord([(fresh_class(c), e) for c, e in cyc.word.letters],
                          fresh_class(cyc.word.base))
-        cycles.append(VanishingCycle(
+        fresh = VanishingCycle(
             lattice, word,
             arc=None if cyc.arc is None else fresh_arc(cyc.arc),
-            stabilization_sphere=cyc.stabilization_sphere,
-            loose_certified=cyc.loose_certified))
+            stabilization_sphere=cyc.stabilization_sphere)
+        cycles.append(fresh.as_loose() if cyc.loose_certified else fresh)
     return LefschetzDatum(D.fiber, cycles, sf_spheres=D.sf_spheres)
 
 

@@ -162,7 +162,7 @@ def test_hurwitz_index_errors():
 def test_hurwitz_flag_dynamics():
     fiber = plumbing_lattice(PlumbingTree.path(2, prefix="e"), 2)
     s = fiber.basis_sphere("e2")
-    v = trivial_cycle(fiber, fiber.basis_sphere("e1"), loose_certified=True)
+    v = trivial_cycle(fiber, fiber.basis_sphere("e1")).as_loose()
     sphere = trivial_cycle(fiber, s, stabilization_sphere=True)
     D = LefschetzDatum(fiber, (sphere, v))
     out = hurwitz_left(D, 1)
@@ -330,7 +330,7 @@ def test_boundary_connect_sum_frozen():
     fiber2 = plumbing_lattice(PlumbingTree.path(1, prefix="e"), 2)
     D2 = LefschetzDatum(
         fiber2,
-        (trivial_cycle(fiber2, fiber2.basis_sphere("e1"), loose_certified=True),),
+        (trivial_cycle(fiber2, fiber2.basis_sphere("e1")).as_loose(),),
     )
     out = boundary_connect_sum(D1, D2)
     assert out.fiber.lattice.gram == ((-2, 0), (0, -2))
@@ -379,8 +379,8 @@ def test_cycles_with_one_word_and_non_isotopic_arcs_stay_apart():
     std1 = standard_arc(system, 1)
     looped = apply_half_twist(system, standard_arc(system, 2), std1, 2)
     e1 = fiber.basis_sphere("e1")
-    plain = trivial_cycle(fiber, e1, arc=std1)
-    twisted = trivial_cycle(fiber, e1, arc=looped)
+    plain = VanishingCycle(fiber.lattice, TwistWord((), e1), arc=std1)
+    twisted = VanishingCycle(fiber.lattice, TwistWord((), e1), arc=looped)
     assert plain.word == twisted.word and plain != twisted
     assert hash(plain) == hash(twisted)
     assert len({plain, twisted}) == 2
@@ -396,7 +396,8 @@ def test_cycles_with_one_word_and_non_isotopic_arcs_stay_apart():
     fixed = apply_half_twist(system, std1, std1, 1)
     assert fixed.word != std1.word
     assert LefschetzDatum(
-        fiber, (trivial_cycle(fiber, e1, arc=fixed), other)) in seen
+        fiber, (VanishingCycle(fiber.lattice, TwistWord((), e1), arc=fixed),
+                other)) in seen
 
 
 def test_cycle_cache_and_immutability():

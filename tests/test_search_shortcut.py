@@ -18,9 +18,10 @@ seeded arc data and on the x1/x2 presets.
 ``width_bound`` is the guard's exact bound: the number of candidate
 steps of the last level's parents.  At or above it the last level
 cannot be truncated, so the search filters it and makes fewer
-apply_step calls.  One below it the guard holds on no level, since an
-earlier level's bound is at least the last level's count, and the
-search builds every level as the reference does.
+apply_step calls.  Below it the guard holds on no level, since an
+earlier level's bound is at least the last level's count, and a search
+that accepts nothing builds every level as the reference does, but for
+the certify_loose children the rule refuses.
 """
 
 import functools
@@ -151,14 +152,20 @@ DATA = POOL + [(name, presets.preset(name)) for name in ("x1", "x2")]
 
 
 class CountingApply:
-    """Stands in for certify.apply_step and counts its calls."""
+    """Stands in for certify.apply_step and counts its calls; ``refused``
+    counts the certify_loose calls whose lead is no stabilization
+    sphere: the rule refuses them, and the search's rows never make
+    them."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls = self.refused = 0
         self.apply = certify.apply_step
 
     def __call__(self, D, step):
         self.calls += 1
+        if step[0] == "certify_loose" and \
+                not D.cycles[step[1][0] - 1].stabilization_sphere:
+            self.refused += 1
         return self.apply(D, step)
 
 
@@ -177,7 +184,7 @@ def counted(monkeypatch, run, *args):
     counter = CountingApply()
     monkeypatch.setattr(certify, "apply_step", counter)
     try:
-        return run(*args), counter.calls
+        return run(*args), counter
     finally:
         monkeypatch.undo()
 
@@ -185,14 +192,19 @@ def counted(monkeypatch, run, *args):
 def check(D, depth, width, monkeypatch):
     """Compare with the reference; return the search's and the
     reference's apply_step calls and the reference's last-level steps."""
-    (expected, last_steps, _), ref_calls = counted(
+    (expected, last_steps, _), ref = counted(
         monkeypatch, reference_search, D, depth, width)
-    found, calls = counted(monkeypatch, search_certificate, D, depth, width)
+    found, searched = counted(monkeypatch, search_certificate, D, depth,
+                              width)
     assert found == expected
     if found is not None:
         assert verify_certificate(D, found).accepted
-    assert calls <= ref_calls
-    return calls, ref_calls, last_steps
+    assert searched.calls <= ref.calls
+    if found is None and last_steps is not None and width < last_steps:
+        # the guard holds on no level (see the module docstring), so no
+        # child is dropped or built past the width
+        assert searched.calls == ref.calls - ref.refused
+    return searched.calls, ref.calls, last_steps
 
 
 @pytest.mark.parametrize("name,D", DATA, ids=[name for name, _ in DATA])
@@ -241,6 +253,13 @@ def test_matches_reference_on_seeded_data(seed, m, k, depth, width):
     D = seeded_datum(random.Random(seed), m, k)
     assert search_certificate(D, depth, width) == \
         reference_search(D, depth, width)[0]
+
+
+@pytest.mark.parametrize("name", ("x1", "x2"))
+def test_a_width_past_sys_maxsize_is_uncapped(name):
+    D = presets.preset(name)
+    assert search_certificate(D, 3, 10 ** 20) == \
+        search_certificate(D, 3, 10 ** 9)
 
 
 def test_pool_reaches_every_kind_of_finish():
