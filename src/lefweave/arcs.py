@@ -143,8 +143,6 @@ class MatchingArc:
 def _letter_gens(arc, power):
     """Sigma-letters of one half-twist letter: the arc's mapping class
     conjugating the base edge's twist to the power."""
-    if power == 0:
-        return ()
     inner = arc._mapping_gens()
     core = ((arc.base_index, 1 if power > 0 else -1),) * abs(power)
     return _free_reduce(inner + core + _invert(inner))

@@ -329,11 +329,6 @@ def flexify_after_handles(D_sf):
     return replay(D_sf, inserts + hurwitz + certs)
 
 
-def _all_flagged(D):
-    return all(c.loose_certified or c.stabilization_sphere
-               for c in D.cycles)
-
-
 @functools.lru_cache(maxsize=1024)
 def _child_steps(rank, label, marks, budget):
     """The (step, summary entries) rows of a node's children that can
@@ -397,13 +392,11 @@ def _child_steps(rank, label, marks, budget):
 
 
 def _children(frontier, seen, spare):
-    """Yield each unseen (child, moves, summary) of the frontier in
-    canonical order, adding the child to ``seen``; a node keeps the rows
-    it can finish in ``spare`` steps (see _child_steps)."""
-    for datum, moves, summary in frontier:
-        marks = tuple(2 if c.stabilization_sphere else
-                      1 if c.loose_certified else 0
-                      for c in datum.cycles)
+    """Yield each unseen (child, moves, summary) of the frontier's
+    (datum, marks, moves, summary) entries in canonical order, adding
+    the child to ``seen``; a node keeps the rows it can finish in
+    ``spare`` steps (see _child_steps)."""
+    for datum, marks, moves, summary in frontier:
         for step, certs in _child_steps(
                 datum.fiber.lattice.rank, stabilize_label(datum.fiber),
                 marks, min(spare, len(marks) + 1)):
@@ -446,22 +439,23 @@ def search_certificate(D, depth, width):
     seen = {D}
     level = [(D, (), ())]
     for left in range(depth, -1, -1):
-        frontier = []
-        for node in level:
-            datum, moves, summary = node
-            if _all_flagged(datum):
+        # one read of each node's flags: its marks, whether it accepts,
+        # and the frontier's candidate steps and the most one node has
+        frontier, bound, most = [], 0, 0
+        for datum, moves, summary in level:
+            marks = tuple(2 if c.stabilization_sphere else
+                          1 if c.loose_certified else 0
+                          for c in datum.cycles)
+            if 0 not in marks:
                 return Certificate(moves, summary, terminal_claim(datum))
-            frontier.append(node)
+            k, rank = len(marks), datum.fiber.lattice.rank
+            bound += (1 + 3 * k if k >= 2 else 0) + rank
+            most = max(most, 1 + 3 * k + rank)
+            frontier.append((datum, marks, moves, summary))
             if len(frontier) == width:
                 break
         if not frontier or not left:
             return None
-        # the frontier's candidate steps, and the most one node has
-        bound = most = 0
-        for d, _, _ in frontier:
-            k, rank = len(d.cycles), d.fiber.lattice.rank
-            bound += (1 + 3 * k if k >= 2 else 0) + rank
-            most = max(most, 1 + 3 * k + rank)
         for j in range(1, left):
             if bound > width:
                 break

@@ -293,7 +293,8 @@ def main(argv=None):
 
 
 def _main(args):
-    with open(args.file, encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark
+    with open(args.file, encoding="utf-8-sig") as handle:
         text = handle.read()
     workspace = parse(text)
     if args.subcommand == "check":

@@ -28,6 +28,7 @@ from hypothesis import event, given, settings, strategies as st
 from lefweave.arcs import (
     ArcError,
     ArcSystem,
+    MatchingArc,
     _dynnikov_key,
     apply_half_twist,
     arc_to_class,
@@ -106,6 +107,15 @@ def test_half_twist_fixes_own_arc():
         for k in range(1, m):
             a = standard_arc(sys, k)
             assert apply_half_twist(sys, a, a) == a
+
+
+def test_a_zero_power_twist_is_the_identity():
+    sys = ArcSystem(3, n=2)
+    a1, a2 = standard_arc(sys, 1), standard_arc(sys, 2)
+    assert apply_half_twist(sys, a2, a1, power=0) is a1
+    # a zero-power letter reduces away
+    idle = MatchingArc(sys, 1, ((a2, 0),))
+    assert idle == a1 and idle.key == a1.key and hash(idle) == hash(a1)
 
 
 def test_t2_of_std1_frozen():
@@ -308,6 +318,8 @@ def test_catalogue_contains_standard_arcs():
     sys = ArcSystem(4, n=2)
     assert set(sys.catalogue) >= {"a1", "a2", "a3"}
     assert sys.catalogue["a1"] == standard_arc(sys, 1)
+    # an edge on another point count is another arc
+    assert sys.catalogue["a1"] != standard_arc(ArcSystem(3, n=2), 1)
 
 
 def test_mirror_windings_distinguished():

@@ -189,6 +189,21 @@ def test_runtime_error_exits_2(tmp_path, capsys):
         assert fragment in err, err
 
 
+@pytest.mark.parametrize("subcommand", ("run", "check"))
+def test_a_leading_byte_order_mark_is_utf8(tmp_path, capsys, subcommand):
+    path = write(tmp_path, X1_TEXT)
+    plain = run_main(capsys, [subcommand, path])
+    assert plain[0] == 0
+    pathlib.Path(path).write_text("\ufeff" + X1_TEXT, encoding="utf-8")
+    assert run_main(capsys, [subcommand, path]) == plain
+    # anywhere else it is a character the grammar refuses
+    pathlib.Path(path).write_text(
+        X1_TEXT.replace("\n", "\n\ufeff", 1), encoding="utf-8")
+    status, out, err = run_main(capsys, [subcommand, path])
+    assert status == 2 and out == ""
+    assert "line 2, column 1: unexpected character" in err, err
+
+
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     # a fiber too large to build; raised, never allocated
     def exhausted(payload):

@@ -163,6 +163,8 @@ def test_long_word_round_trip_compares_and_hashes():
     ws = parse(template % (body + "e1"))
     twin = parse(pretty_print(ws))
     assert twin == ws and hash(twin) == hash(ws)
+    # a workspace is not its text
+    assert ws != pretty_print(ws)
     # the AST is flat: every letter, outermost first, then the inner cycle
     assert ws.definitions[1][2][2][0] == (
         (("e1", 1), ("e2", -1)) * 2500, ("basis", "e1"))

@@ -360,6 +360,12 @@ def test_boundary_connect_sum_rejects_a_non_datum_summand(other):
         boundary_connect_sum(x2(), other)
 
 
+@pytest.mark.parametrize("other", ("X", None, 5))
+def test_a_cycle_or_datum_is_unequal_to_a_foreign_object(other):
+    D = x2()
+    assert D != other and D.cycles[0] != other
+
+
 def test_boundary_connect_sum_keeps_handle_labels():
     D1 = stabilize(a1_datum(), (1,), "s1")
     D2 = stabilize(a1_datum(), (0,), "s1")
