@@ -14,6 +14,7 @@ certificate (``flexify`` expands to its insert/Hurwitz/certify steps).
 
 import argparse
 import json
+import os
 import sys
 
 from . import LefweaveError, __version__
@@ -130,103 +131,69 @@ def certificate_payload(cert, texts=None):
     }
 
 
-class _Session:
-    """One run of a parsed workspace: definitions, commands, results."""
+def _define(definition, values, presets, scripts):
+    """Build one definition into ``values``, the workspace's name table.
 
-    def __init__(self, workspace, depth_default, width_default):
-        self.workspace = workspace
-        self.depth_default = depth_default
-        self.width_default = width_default
-        self.fibers = {}
-        self.values = {}
-        self.scripts = {}
-        self.from_preset = {}
-        self.results = []
-        self.status = 0
-
-    def run(self):
-        ws = self.workspace
-        for index, definition in enumerate(ws.definitions):
-            self._guarded(ws.def_lines[index], "defining %r" % definition[1],
-                          self._define, definition)
-        for index, command in enumerate(ws.commands):
-            self._guarded(ws.cmd_lines[index], "running %r" % command[0],
-                          self._command, command)
-        return self.results, self.status
-
-    def _guarded(self, line, doing, func, arg):
-        try:
-            func(arg)
-        except LefweaveError as err:
-            raise CliError("line %d: while %s: %s" % (line, doing, err))
-
-    def _define(self, definition):
-        kind, name, payload = definition
-        if kind == "fiber":
-            self.fibers[name] = _build_fiber(payload)
-            return
-        if kind == "datum":
-            if payload[0] == "preset":
-                self.values[name] = preset(payload[1])
-                self.from_preset[name] = True
-                return
-            fiber = self.fibers[payload[1]]
-            cycles = [_build_cycle(fiber, ast) for ast in payload[2]]
-            self.values[name] = LefschetzDatum(fiber, cycles)
-            self.from_preset[name] = False
-            return
+    The parser refuses a reused name, so fibers, data and scripts share
+    the table.  ``presets`` holds the names built from a preset, and a
+    script on one of them; ``scripts`` maps a script's name to its
+    target, base datum, certificate and step texts.
+    """
+    kind, name, payload = definition
+    if kind == "fiber":
+        values[name] = _build_fiber(payload)
+    elif kind == "datum" and payload[0] == "preset":
+        values[name] = preset(payload[1])
+        presets.add(name)
+    elif kind == "datum":
+        fiber = values[payload[1]]
+        values[name] = LefschetzDatum(
+            fiber, [_build_cycle(fiber, ast) for ast in payload[2]])
+    else:
         target, steps = payload
-        base = self.values[target]
-        final, cert, texts = _run_script(base, steps, self.values)
-        self.values[name] = final
-        self.scripts[name] = (target, base, cert, texts)
-        self.from_preset[name] = self.from_preset[target]
+        base = values[target]
+        values[name], cert, texts = _run_script(base, steps, values)
+        scripts[name] = (target, base, cert, texts)
+        if target in presets:
+            presets.add(name)
 
-    def _command(self, command):
-        if command[0] == "print_invariants":
-            name = command[1]
-            inv = total_space_invariants(self.values[name])
-            entry = {"command": "print invariants", "datum": name,
-                     "preset": self.from_preset[name]}
-            entry.update(invariants_payload(inv))
-            self.results.append(entry)
-            return
-        if command[0] == "verify":
-            name = command[1]
-            target, base, cert, texts = self.scripts[name]
-            res = verify_certificate(base, cert)
-            if not res.accepted:
-                self.status = max(self.status, 1)
-            entry = {
-                "command": "verify",
-                "script": name,
-                "base": target,
-                "preset": self.from_preset[name],
-                "accepted": res.accepted,
-                "reason": res.reason,
-                "trace": list(res.trace),
-            }
-            entry.update(certificate_payload(cert, texts))
-            self.results.append(entry)
-            return
-        _, name, depth, width = command
-        if depth is None:
-            depth = self.depth_default
-        if width is None:
-            width = self.width_default
-        found = search_certificate(self.values[name], depth, width)
-        if found is None:
-            self.status = max(self.status, 1)
-        self.results.append({
-            "command": "search",
-            "datum": name,
-            "preset": self.from_preset[name],
-            "depth": depth,
-            "width": width,
-            "found": found is not None,
-            "certificate": (None if found is None
-                            else certificate_payload(found)),
-        })
+
+def _command(command, values, presets, scripts, depth_default,
+             width_default):
+    """One command's result entry, and whether it failed (exit 1)."""
+    name = command[1]
+    if command[0] == "print_invariants":
+        entry = {"command": "print invariants", "datum": name,
+                 "preset": name in presets}
+        entry.update(invariants_payload(total_space_invariants(values[name])))
+        return entry, False
+    if command[0] == "verify":
+        target, base, cert, texts = scripts[name]
+        res = verify_certificate(base, cert)
+        entry = {
+            "command": "verify",
+            "script": name,
+            "base": target,
+            "preset": name in presets,
+            "accepted": res.accepted,
+            "reason": res.reason,
+            "trace": list(res.trace),
+        }
+        entry.update(certificate_payload(cert, texts))
+        return entry, not res.accepted
+    depth = depth_default if command[2] is None else command[2]
+    width = width_default if command[3] is None else command[3]
+    found = search_certificate(values[name], depth, width)
+    return {
+        "command": "search",
+        "datum": name,
+        "preset": name in presets,
+        "depth": depth,
+        "width": width,
+        "found": found is not None,
+        "certificate": (None if found is None
+                        else certificate_payload(found)),
+    }, found is None
 
 
 # the bounds of a script's search that gives none, unless the command
@@ -237,7 +204,24 @@ DEPTH_DEFAULT, WIDTH_DEFAULT = 4, 10000
 def execute(workspace, depth_default=DEPTH_DEFAULT,
             width_default=WIDTH_DEFAULT):
     """Run a parsed workspace; returns (results, exit_status)."""
-    return _Session(workspace, depth_default, width_default).run()
+    values, presets, scripts = {}, set(), {}
+    for line, definition in zip(workspace.def_lines, workspace.definitions):
+        try:
+            _define(definition, values, presets, scripts)
+        except LefweaveError as err:
+            raise CliError("line %d: while defining %r: %s"
+                           % (line, definition[1], err))
+    results, status = [], 0
+    for line, command in zip(workspace.cmd_lines, workspace.commands):
+        try:
+            entry, failed = _command(command, values, presets, scripts,
+                                     depth_default, width_default)
+        except LefweaveError as err:
+            raise CliError("line %d: while running %r: %s"
+                           % (line, command[0], err))
+        results.append(entry)
+        status |= failed
+    return results, status
 
 
 def render(results, source, seed=None):
@@ -276,19 +260,28 @@ def main(argv=None):
     check_parser.add_argument("file")
     args = parser.parse_args(argv)
 
+    # exact answers print in full, however many digits they have
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _main(args)
     except OSError as err:
+        if isinstance(err, BrokenPipeError):
+            # the reader is gone: shutdown's flush goes to devnull instead
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print("lefweave: %s" % err, file=sys.stderr)
-    except UnicodeDecodeError as err:
-        print("lefweave: %s: %s" % (args.file, err), file=sys.stderr)
-    except LefweaveError as err:
+    except (UnicodeDecodeError, LefweaveError) as err:
         print("lefweave: %s: %s" % (args.file, err), file=sys.stderr)
     except MemoryError:
         print("lefweave: %s: out of memory" % args.file, file=sys.stderr)
     except RecursionError:
         print("lefweave: %s: recursion too deep" % args.file,
               file=sys.stderr)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 2
 
 
@@ -306,6 +299,8 @@ def _main(args):
         with open(args.json_out, "w", encoding="utf-8") as handle:
             handle.write(blob)
     sys.stdout.write(blob)
+    # a closed stdout fails here, not at interpreter shutdown
+    sys.stdout.flush()
     return status
 
 

@@ -70,6 +70,14 @@ _MAX_RANK = 2000
 _MAX_DIMENSION = 1000
 
 
+def _int(digits, line, column):
+    try:
+        return int(digits)
+    except ValueError as err:
+        # past the interpreter's str-to-int digit limit
+        raise DslError(str(err), line, column) from None
+
+
 def _tokenize(text):
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -81,7 +89,8 @@ def _tokenize(text):
                                lineno, pos + 1)
             kind = m.lastgroup
             if kind == "int":
-                tokens.append(_Token("int", int(m.group()), lineno, pos + 1))
+                tokens.append(_Token("int", _int(m.group(), lineno, pos + 1),
+                                     lineno, pos + 1))
             elif kind == "name":
                 tokens.append(_Token("name", m.group(), lineno, pos + 1))
             elif kind == "sym":
@@ -239,8 +248,8 @@ class _Parser:
                 raise DslError(
                     "only the path shorthand a<k> is built in",
                     tree_tok.line, tree_tok.column, got=tree_tok.value)
-            k = self._cap(tree_tok, int(match.group(1)), _MAX_RANK,
-                          "a path plumbing's rank")
+            k = _int(match.group(1), tree_tok.line, tree_tok.column)
+            k = self._cap(tree_tok, k, _MAX_RANK, "a path plumbing's rank")
             payload = ("plumbing", k, self._parse_dimension())
         else:
             raise DslError(

@@ -7,6 +7,7 @@ output bytes for the example scripts.
 """
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from lefweave import cli
 from lefweave.certify import Certificate, step_text
 from lefweave.cli import (certificate_payload, execute, invariants_payload,
                           main, render)
-from lefweave.dsl import parse, pretty_print
+from lefweave.dsl import DslError, parse, pretty_print
 from lefweave.invariants import total_space_invariants
 from lefweave.presets import x1
 
@@ -187,6 +188,125 @@ def test_runtime_error_exits_2(tmp_path, capsys):
         assert status == 2 and out == "", argv
         assert err.startswith("lefweave: ") and err.count("\n") == 1, err
         assert fragment in err, err
+
+
+def test_command_error_names_the_command(tmp_path, capsys):
+    text = (
+        "fiber a1 = ak 2 n=2\n"
+        "datum D over a1 = [e1]\n"
+        "print invariants D\n"
+        "search D width=0\n"
+    )
+    path = write(tmp_path, text)
+    status, out, err = run_main(capsys, ["run", path])
+    assert status == 2 and out == ""
+    assert err == ("lefweave: %s: line 4: while running 'search': "
+                   "width must be positive\n" % path)
+
+
+@pytest.mark.parametrize("commands, outcomes", (
+    # a later success does not clear an earlier failure
+    ("verify s\nsearch E depth=0 width=1\n",
+     [("verify", False), ("search", True)]),
+    # a later failure is not lost behind an earlier success
+    ("search E depth=0 width=1\nsearch D depth=1 width=10\n",
+     [("search", True), ("search", False)]),
+))
+def test_one_failed_command_makes_the_run_exit_1(tmp_path, capsys,
+                                                 commands, outcomes):
+    text = (
+        "fiber a1 = ak 2 n=2\n"
+        "datum D over a1 = [e1]\n"
+        "datum E over a1 = []\n"
+        "script s on D { rotate }\n"
+    ) + commands
+    status, out, err = run_main(capsys, ["run", write(tmp_path, text)])
+    assert status == 1 and err == ""
+    assert [(entry["command"], entry.get("accepted", entry.get("found")))
+            for entry in json.loads(out)["results"]] == outcomes
+
+
+def test_preset_flag_follows_script_chains():
+    ws = parse(
+        "datum P = preset x2\n"
+        "script a on P { hurwitzR 2 }\n"
+        "script b on a { certify-loose 2 }\n"
+        "fiber a1 = ak 2 n=2\n"
+        "datum D over a1 = [e1]\n"
+        "script r on D { rotate }\n"
+        "script r2 on r { rotate }\n"
+        "verify b\n"
+        "verify r2\n"
+        "print invariants b\n"
+        "search r2 depth=0 width=1\n"
+    )
+    results, status = execute(ws)
+    assert status == 1
+    assert [(entry.get("script", entry.get("datum")), entry["preset"])
+            for entry in results] == [
+        ("b", True), ("r2", False), ("b", True), ("r2", False)]
+
+
+# a twist exponent, and the order of the H_1 it gives, past CPython's
+# default 4,300-digit limit on str <-> int conversion
+LONG_LITERAL_TEXT = (
+    "fiber a = ak 3 n=1\n"
+    "datum X over a = [tw(e2)^%s e1, e2]\n"
+    "print invariants X\n" % ("1" + "0" * 4999)
+)
+LONG_RESULT_TEXT = (
+    "fiber a = ak 3 n=1\n"
+    "datum X over a = [tw(e2)^%s e1, tw(e1)^%s e2]\n"
+    "print invariants X\n" % (("1" + "0" * 2500,) * 2)
+)
+
+
+def test_integers_past_the_digit_limit_run_and_print(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    path = write(tmp_path, LONG_LITERAL_TEXT)
+    assert run_main(capsys, ["check", path]) == (0, "", "")
+    status, out, err = run_main(capsys, ["run", path])
+    assert status == 0 and err == ""
+    status, out, err = run_main(
+        capsys, ["run", write(tmp_path, LONG_RESULT_TEXT)])
+    assert status == 0 and err == ""
+    # H_1 = Z/(10^5000 + 1), printed in full
+    assert '"torsion": [\n            1%s1\n' % ("0" * 4999) in out
+    # the limit is lifted for the run only
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no str <-> int limit")
+def test_a_literal_past_the_digit_limit_is_a_dsl_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(DslError) as info:
+            parse(LONG_LITERAL_TEXT)
+        assert (info.value.line, info.value.column) == (2, 26)
+        with pytest.raises(DslError) as info:
+            parse("fiber p = plumbing a1%s n=2\n" % ("0" * 4999))
+        assert (info.value.line, info.value.column) == (1, 20)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_closed_stdout_exits_2_with_one_line(tmp_path):
+    # unbuffered output would fail inside the write; buffered, at the
+    # interpreter's closing flush unless the command flushes itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lefweave.cli",
+             "run", write(tmp_path, X1_TEXT)],
+            cwd=REPO, env=env, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b"lefweave: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("subcommand", ("run", "check"))
