@@ -20,6 +20,7 @@ the trace.
 
 import functools
 import math
+import operator
 from collections import namedtuple
 
 from . import LefweaveError, exact_ints
@@ -49,16 +50,42 @@ VerifyResult = namedtuple(
     "VerifyResult", ("accepted", "trace", "reason", "final"))
 
 
-def _cyclic_pair(D, i):
+def _loose_pair_refusal(D, i):
+    """rule_loose_pair's verdict on the pair at position i: None if the
+    rule certifies it, else the (message, context) of its refusal.
+
+    The checks run in the rule's order and build nothing, so the search
+    can skip a refused pair without an error.  A position that is no
+    integer is a malformed step, not a refused pair: it raises.
+    """
     k = len(D.cycles)
     if k < 2:
-        raise CertifyError("need at least two cycles to certify", k=k)
+        return "need at least two cycles to certify", {"k": k}
     # ints, which the search passes on every move, skip exact_ints
     if type(i) is not int:
         (i,) = exact_ints((i,), CertifyError, "certify position")
     if not 1 <= i <= k:
-        raise CertifyError("certify position out of range", i=i, k=k)
-    return i - 1, i % k
+        return "certify position out of range", {"i": i, "k": k}
+    lead = D.cycles[i - 1]
+    follow = D.cycles[i % k]
+    if not lead.stabilization_sphere:
+        return "cycle %d is not a stabilization sphere" % i, {"i": i}
+    sphere = lead.klass
+    if not follow.word.letters:
+        return "certified cycle has no twist letter to match", {"i": i}
+    center, exp = follow.word.letters[0]
+    negated = tuple(-c for c in sphere.coords)
+    if exp != 1 or center.coords not in (sphere.coords, negated):
+        return ("outermost letter is not a single twist about the sphere",
+                {"i": i, "exponent": exp})
+    # tau_S is an isometry fixing S up to sign, so S meets the class of
+    # the rest of the word as often as it meets tau_S of it, the class
+    # the follower already holds
+    hits = pairing(D.fiber.lattice, sphere, follow.klass)
+    if abs(hits) != 1:
+        return ("sphere must meet the underlying class exactly once",
+                {"i": i, "pairing": hits})
+    return None
 
 
 def rule_loose_pair(D, i):
@@ -68,32 +95,13 @@ def rule_loose_pair(D, i):
     directly before a cycle tau_S(w) whose underlying class meets S in
     a single point, so the latter is attached along a loose Legendrian.
     """
-    a, b = _cyclic_pair(D, i)
-    lead = D.cycles[a]
-    follow = D.cycles[b]
-    if not lead.stabilization_sphere:
-        raise CertifyError(
-            "cycle %d is not a stabilization sphere" % i, i=i)
-    sphere = lead.klass
-    if not follow.word.letters:
-        raise CertifyError(
-            "certified cycle has no twist letter to match", i=i)
-    center, exp = follow.word.letters[0]
-    negated = tuple(-c for c in sphere.coords)
-    if exp != 1 or center.coords not in (sphere.coords, negated):
-        raise CertifyError(
-            "outermost letter is not a single twist about the sphere",
-            i=i, exponent=exp)
-    # tau_S is an isometry fixing S up to sign, so S meets the class of
-    # the rest of the word as often as it meets tau_S of it, the class
-    # the follower already holds
-    hits = pairing(D.fiber.lattice, sphere, follow.klass)
-    if abs(hits) != 1:
-        raise CertifyError(
-            "sphere must meet the underlying class exactly once",
-            i=i, pairing=hits)
+    refusal = _loose_pair_refusal(D, i)
+    if refusal is not None:
+        message, context = refusal
+        raise CertifyError(message, **context)
     cycles = list(D.cycles)
-    cycles[b] = follow.as_loose()
+    b = operator.index(i) % len(cycles)
+    cycles[b] = cycles[b].as_loose()
     return LefschetzDatum(D.fiber, cycles, sf_spheres=D.sf_spheres)
 
 
@@ -395,11 +403,15 @@ def _children(frontier, seen, spare):
     """Yield each unseen (child, moves, summary) of the frontier's
     (datum, marks, moves, summary) entries in canonical order, adding
     the child to ``seen``; a node keeps the rows it can finish in
-    ``spare`` steps (see _child_steps)."""
+    ``spare`` steps (see _child_steps).  A certify_loose row, the only
+    kind with summary entries, is built only if the rule's verdict
+    certifies it: a refused row makes no error and no engine call."""
     for datum, marks, moves, summary in frontier:
         for step, certs in _child_steps(
                 datum.fiber.lattice.rank, stabilize_label(datum.fiber),
                 marks, min(spare, len(marks) + 1)):
+            if certs and _loose_pair_refusal(datum, step[1][0]) is not None:
+                continue
             try:
                 child = apply_step(datum, step)
             except LefweaveError:
@@ -431,7 +443,10 @@ def search_certificate(D, depth, width):
     never expanded: results and width semantics are those of building
     every level.
     """
-    depth, width = exact_ints((depth, width), CertifyError, "search bounds")
+    # ints, which the CLI and the benchmark pass, skip exact_ints
+    if type(depth) is not int or type(width) is not int:
+        depth, width = exact_ints((depth, width), CertifyError,
+                                  "search bounds")
     if depth < 0:
         raise CertifyError("depth must be nonnegative", depth=depth)
     if width < 1:

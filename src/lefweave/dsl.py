@@ -18,8 +18,9 @@ or catalogue arcs (``arc(2,3; a2)``).  Script steps: ``hurwitzL i``,
 ...]``, ``bsum <datum>``, ``certify-loose i``, ``flexify``.  A script's
 resulting datum is registered under the script's name, so scripts chain.
 ``#`` starts a comment.  Fibers are capped at rank 2000 (``ak 2001``,
-``plumbing a2000``) and ``n=1000``.  Parsing only checks names, syntax
-and these caps; building and running happen in the cli module.
+``plumbing a2000``) and ``n=1000``, and a literal at 100,000 digits.
+Parsing only checks names, syntax and these caps; building and running
+happen in the cli module.
 
 Parse trees are in the engine's terms.  A cycle expression is
 ``(letters, inner)``: (sphere label, exponent) twist letters, outermost
@@ -68,9 +69,18 @@ SCRIPT_WORDS["flexify"] = "flexify"
 # list one homology entry per degree.
 _MAX_RANK = 2000
 _MAX_DIMENSION = 1000
+# Literal length cap: int() and str() are quadratic in the digits, and
+# int() of 100,000 digits takes about 0.09 s on CPython 3.11.
+_MAX_DIGITS = 100000
+# a refused size longer than this is named by its digit count
+_SHOWN_DIGITS = 20
 
 
 def _int(digits, line, column):
+    length = len(digits.lstrip("-"))
+    if length > _MAX_DIGITS:
+        raise DslError("a number has at most %d digits, not %d"
+                       % (_MAX_DIGITS, length), line, column)
     try:
         return int(digits)
     except ValueError as err:
@@ -269,7 +279,10 @@ class _Parser:
 
     def _cap(self, tok, value, cap, what):
         if value > cap:
-            raise DslError("%s is at most %d, not %d" % (what, cap, value),
+            text = str(value)
+            if len(text) > _SHOWN_DIGITS:
+                text = "a %d-digit number" % len(text)
+            raise DslError("%s is at most %d, not %s" % (what, cap, text),
                            tok.line, tok.column)
         return value
 

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from lefweave import cli
+from lefweave import cli, dsl
 from lefweave.certify import Certificate, step_text
 from lefweave.cli import (certificate_payload, execute, invariants_payload,
                           main, render)
@@ -290,6 +290,40 @@ def test_a_literal_past_the_digit_limit_is_a_dsl_error():
         assert (info.value.line, info.value.column) == (1, 20)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("subcommand", ("check", "run"))
+def test_an_over_cap_size_is_named_by_its_digit_count(tmp_path, capsys,
+                                                      subcommand):
+    path = write(tmp_path, "fiber p = ak 3 n=1%s\n" % ("0" * 5000))
+    status, out, err = run_main(capsys, [subcommand, path])
+    assert (status, out) == (2, "")
+    assert err == ("lefweave: %s: line 1, column 18: the fiber dimension "
+                   "is at most 1000, not a 5001-digit number\n" % path)
+
+
+@pytest.mark.parametrize("subcommand", ("check", "run"))
+def test_a_literal_past_the_digit_cap_is_a_dsl_error(tmp_path, capsys,
+                                                     subcommand):
+    text = ("fiber a = ak 3 n=1\n"
+            "datum X over a = [tw(e2)^%s e1, e2]\n")
+    at_cap = write(tmp_path, text % ("1" * dsl._MAX_DIGITS))
+    assert run_main(capsys, ["check", at_cap]) == (0, "", "")
+    # a minus sign is no digit
+    for sign in ("", "-"):
+        path = write(tmp_path, text % (sign + "1" * (dsl._MAX_DIGITS + 1)))
+        status, out, err = run_main(capsys, [subcommand, path])
+        assert (status, out) == (2, "")
+        assert err == ("lefweave: %s: line 2, column 26: a number has at "
+                       "most %d digits, not %d\n"
+                       % (path, dsl._MAX_DIGITS, dsl._MAX_DIGITS + 1))
+    path = write(tmp_path, "fiber p = plumbing a%s n=2\n"
+                 % ("1" * (dsl._MAX_DIGITS + 1)))
+    status, out, err = run_main(capsys, [subcommand, path])
+    assert status == 2
+    assert err.endswith(": line 1, column 20: a number has at most %d "
+                        "digits, not %d\n"
+                        % (dsl._MAX_DIGITS, dsl._MAX_DIGITS + 1))
 
 
 def test_a_closed_stdout_exits_2_with_one_line(tmp_path):

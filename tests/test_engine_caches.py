@@ -8,8 +8,9 @@ once rather than once per search child:
     before it coerces and re-validates the inputs;
   * a stabilized fiber builds its sphere cycle once;
   * a fiber hashes its share of a datum's key once;
-  * the search skips certify_loose steps whose lead is not a
-    stabilization sphere instead of letting rule_loose_pair raise.
+  * the search asks the loose-pair rule's verdict before it builds a
+    certify_loose child, so it calls rule_loose_pair only on pairs the
+    rule certifies and the rule never raises under it.
 
 The tests check that what the caches skip could not have failed: bad
 centers, labels, lengths and cycles are still rejected, and equal data
@@ -158,22 +159,28 @@ def test_datum_still_rejects_a_cycle_of_the_wrong_length():
 
 
 def test_search_only_tries_certify_behind_a_sphere(monkeypatch):
-    """The search hands rule_loose_pair no step it would reject for its
-    lead; tests/test_search_shortcut.py checks the results against a
-    search that tries every step."""
+    """The search hands rule_loose_pair no step it would reject, for its
+    lead or for any other reason; tests/test_search_shortcut.py checks
+    the results against a search that tries every step."""
     D = _arc_datum(ak_matching_fiber(3, 2))
     leads = []
+    refused = []
     rule = certify.rule_loose_pair
 
     def watched(datum, i):
         leads.append(datum.cycles[i - 1].stabilization_sphere)
-        return rule(datum, i)
+        try:
+            return rule(datum, i)
+        except certify.CertifyError as err:
+            refused.append(err)
+            raise
 
     monkeypatch.setattr(certify, "rule_loose_pair", watched)
     assert search_certificate(D, 1, 10000) is None
     cert = search_certificate(D, 3, 30)
     assert cert.moves == (("hurwitz_left", (1,)), ("certify_loose", (2,)))
     assert leads and all(leads)
+    assert not refused
 
 
 def test_value_types_reject_attribute_assignment():

@@ -153,9 +153,8 @@ DATA = POOL + [(name, presets.preset(name)) for name in ("x1", "x2")]
 
 class CountingApply:
     """Stands in for certify.apply_step and counts its calls; ``refused``
-    counts the certify_loose calls whose lead is no stabilization
-    sphere: the rule refuses them, and the search's rows never make
-    them."""
+    counts the certify_loose calls the rule refuses: the search asks the
+    rule's verdict first and never makes them."""
 
     def __init__(self):
         self.calls = self.refused = 0
@@ -163,10 +162,12 @@ class CountingApply:
 
     def __call__(self, D, step):
         self.calls += 1
-        if step[0] == "certify_loose" and \
-                not D.cycles[step[1][0] - 1].stabilization_sphere:
-            self.refused += 1
-        return self.apply(D, step)
+        try:
+            return self.apply(D, step)
+        except certify.CertifyError:
+            if step[0] == "certify_loose":
+                self.refused += 1
+            raise
 
 
 class LastApply(CountingApply):
@@ -199,6 +200,7 @@ def check(D, depth, width, monkeypatch):
     assert found == expected
     if found is not None:
         assert verify_certificate(D, found).accepted
+    assert searched.refused == 0
     assert searched.calls <= ref.calls
     if found is None and last_steps is not None and width < last_steps:
         # the guard holds on no level (see the module docstring), so no
@@ -286,12 +288,13 @@ def test_depth_3_builds_far_fewer_nodes(monkeypatch):
 
 def test_depth_3_uncapped_builds_fewer_nodes(monkeypatch):
     # the same searches made 1,437 calls with the flag budget alone, 775
-    # once rotate and stabilize children needed a spare step, and 648
-    # once an unready hurwitz or certify_loose child needs one too
+    # once rotate and stabilize children needed a spare step, 648 once an
+    # unready hurwitz or certify_loose child needed one too, and 338 once
+    # refused certify_loose rows make no engine call
     total = 0
     for _, D in DATA:
         total += check(D, 3, 10 ** 9, monkeypatch)[0]
-    assert total == 648
+    assert total == 338
 
 
 def moved_marks(step, marks):
@@ -380,6 +383,28 @@ def test_child_steps_need_a_spare_step_for_rotate_and_stabilize(k):
                 assert kept == [
                     step for step in table if step[0] != "certify_loose"
                     or marks[step[1][0] - 1] == 2]
+
+
+@pytest.mark.parametrize("name,D", DATA, ids=[name for name, _ in DATA])
+def test_verdict_and_rule_agree(name, D):
+    """The search skips a certify_loose row on the rule's verdict alone:
+    the rule raises exactly when the verdict refuses, with its message
+    and context, at every position of the datum and of its children."""
+    children = []
+    for step in reference_steps(D):
+        try:
+            children.append(certify.apply_step(D, step))
+        except LefweaveError:
+            pass
+    for datum in [D] + children:
+        for i in range(len(datum.cycles) + 2):
+            refusal = certify._loose_pair_refusal(datum, i)
+            try:
+                certify.rule_loose_pair(datum, i)
+            except certify.CertifyError as err:
+                assert refusal == (str(err), err.context)
+            else:
+                assert refusal is None
 
 
 # every (datum, depth) whose certificate at the benchmark's width has moves
