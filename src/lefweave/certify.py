@@ -422,6 +422,24 @@ def _children(frontier, seen, spare):
             yield child, moves + (step,), summary + certs
 
 
+def _guard(frontier, left, width):
+    """Whether no level within ``left`` of these (datum, marks, moves,
+    summary) entries can be truncated to ``width`` nodes.  A node with k
+    cycles over a rank-r fiber has r candidate steps, 1 + 3k + r if k > 1,
+    and a step adds at most one cycle and one sphere, so a node j levels
+    down has at most ``most + 4 * j``; no steps, no children."""
+    bound = most = 0
+    for datum, marks, _, _ in frontier:
+        k, rank = len(marks), datum.fiber.lattice.rank
+        bound += (1 + 3 * k if k >= 2 else 0) + rank
+        most = max(most, 1 + 3 * k + rank)
+    for j in range(1, left):
+        if not bound or bound > width:
+            break
+        bound *= most + 4 * j
+    return bound <= width
+
+
 def search_certificate(D, depth, width):
     """Breadth-first search for an accepting certificate.
 
@@ -432,13 +450,8 @@ def search_certificate(D, depth, width):
     means "no certificate within bounds", nothing more.
 
     A level drops the children that cannot be finished in the steps left
-    (see _child_steps) when no level from there on can be truncated: a
-    step flags at most one cycle, a rotate or stabilize child needs one
-    step to spare, and so does any other child unless each unflagged
-    cycle sits directly after a stabilization sphere.  No level can be
-    truncated when its candidate steps fit in ``width``, and so do each
-    later level's, bounded by letting every step add one cycle and one
-    sphere.  The survivors keep their order, and a dropped node can
+    (see _child_steps) when _guard says that no level from there on can
+    be truncated.  The survivors keep their order, and a dropped node can
     shadow, through ``seen``, only a node that would be dropped too or is
     never expanded: results and width semantics are those of building
     every level.
@@ -454,27 +467,19 @@ def search_certificate(D, depth, width):
     seen = {D}
     level = [(D, (), ())]
     for left in range(depth, -1, -1):
-        # one read of each node's flags: its marks, whether it accepts,
-        # and the frontier's candidate steps and the most one node has
-        frontier, bound, most = [], 0, 0
+        # one read of each node's flags: its marks and whether it accepts
+        frontier = []
         for datum, moves, summary in level:
             marks = tuple(2 if c.stabilization_sphere else
                           1 if c.loose_certified else 0
                           for c in datum.cycles)
             if 0 not in marks:
                 return Certificate(moves, summary, terminal_claim(datum))
-            k, rank = len(marks), datum.fiber.lattice.rank
-            bound += (1 + 3 * k if k >= 2 else 0) + rank
-            most = max(most, 1 + 3 * k + rank)
             frontier.append((datum, marks, moves, summary))
             if len(frontier) == width:
                 break
         if not frontier or not left:
             return None
-        for j in range(1, left):
-            if bound > width:
-                break
-            bound *= most + 4 * j
         # a budget above a node's cycle count drops no row the rule takes
-        level = _children(frontier, seen,
-                          left - 1 if bound <= width else math.inf)
+        spare = left - 1 if _guard(frontier, left, width) else math.inf
+        level = _children(frontier, seen, spare)

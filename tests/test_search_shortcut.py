@@ -15,13 +15,13 @@ it looks for an accepting node, kept here as the oracle: its results
 are the results the search must give, at every depth and width, on
 seeded arc data and on the x1/x2 presets.
 
-``width_bound`` is the guard's exact bound: the number of candidate
-steps of the last level's parents.  At or above it the last level
-cannot be truncated, so the search filters it and makes fewer
-apply_step calls.  Below it the guard holds on no level, since an
-earlier level's bound is at least the last level's count, and a search
-that accepts nothing builds every level as the reference does, but for
-the certify_loose children the rule refuses.
+certify._guard is the one owner of the guard: whether no level within
+the steps left can be truncated, so that a level may be filtered.  The
+guard oracle checks that claim on every level of an uncapped reference
+search.  ``check`` records the guard's verdicts: a search that accepts
+nothing and on which the guard held on no level builds every level as
+the reference does, but for the certify_loose children the rule
+refuses.
 """
 
 import functools
@@ -35,9 +35,11 @@ from lefweave import LefweaveError, certify, presets
 from lefweave.arcs import apply_half_twist, induced_word, standard_arc
 from lefweave.certify import Certificate, search_certificate, \
     step_certifications, terminal_claim, verify_certificate
-from lefweave.fibers import ak_matching_fiber
+from lefweave.fibers import FiberModel, PlumbingTree, ak_matching_fiber, \
+    plumbing_lattice
+from lefweave.lattice import IntLattice, SphereClass
 from lefweave.presentation import LefschetzDatum, VanishingCycle, \
-    stabilize_label
+    stabilize_label, trivial_cycle
 
 FIXED_WIDTHS = (1, 3, 17, 10000)
 
@@ -65,6 +67,13 @@ def all_flagged(D):
                for c in D.cycles)
 
 
+def entry(D, moves=(), summary=()):
+    """A (datum, marks, moves, summary) frontier entry, as the search
+    hands it to certify._guard."""
+    return D, tuple(2 if c.stabilization_sphere else 1 if c.loose_certified
+                    else 0 for c in D.cycles), moves, summary
+
+
 def reference_search(D, depth, width):
     """Build every level; return (result, steps of the last parents,
     new distinct nodes per level built).
@@ -85,23 +94,7 @@ def reference_search(D, depth, width):
             break
         if level == depth - 1:
             last_steps = sum(len(reference_steps(d)) for d, _, _ in frontier)
-        grown = []
-        for datum, moves, summary in frontier:
-            if len(grown) >= width:
-                break
-            k = len(datum.cycles)
-            for step in reference_steps(datum):
-                try:
-                    child = certify.apply_step(datum, step)
-                except LefweaveError:
-                    continue
-                if child in seen:
-                    continue
-                seen.add(child)
-                grown.append((child, moves + (step,),
-                              summary + step_certifications(step, k)))
-                if len(grown) >= width:
-                    break
+        grown = grow(frontier, seen, width)
         if not grown:
             break
         sizes.append(len(grown))
@@ -109,8 +102,32 @@ def reference_search(D, depth, width):
     return None, last_steps, tuple(sizes)
 
 
+def grow(frontier, seen, width):
+    """The next level: the frontier's unseen children in canonical
+    order, up to ``width`` of them, each added to ``seen``."""
+    grown = []
+    for datum, moves, summary in frontier:
+        if len(grown) >= width:
+            break
+        k = len(datum.cycles)
+        for step in reference_steps(datum):
+            try:
+                child = certify.apply_step(datum, step)
+            except LefweaveError:
+                continue
+            if child in seen:
+                continue
+            seen.add(child)
+            grown.append((child, moves + (step,),
+                          summary + step_certifications(step, k)))
+            if len(grown) >= width:
+                break
+    return grown
+
+
 def width_bound(D, depth):
-    """The guard's bound for an untruncated search, or None."""
+    """The candidate steps of an uncapped search's last parents, or
+    None if the search does not reach them."""
     return reference_search(D, depth, 10 ** 9)[1]
 
 
@@ -147,18 +164,40 @@ def seeded_pool():
     return pool
 
 
+def refused_centre():
+    """A sphere-flagged e1 + e3 over ``plumbing a3 n=2``, then e1.  The
+    sphere's self-pairing is -4, so hurwitz refuses it as a twist centre
+    and the search builds a child the engine refuses."""
+    fiber = plumbing_lattice(PlumbingTree.path(3, prefix="e"), 2)
+    e1 = fiber.basis_sphere("e1")
+    centre = SphereClass(tuple(
+        a + b for a, b in zip(e1.coords, fiber.basis_sphere("e3").coords)))
+    return LefschetzDatum(fiber, (
+        trivial_cycle(fiber, centre, stabilization_sphere=True),
+        trivial_cycle(fiber, e1)))
+
+
 POOL = seeded_pool()
 DATA = POOL + [(name, presets.preset(name)) for name in ("x1", "x2")]
+COMPARED = DATA + [("refused-centre", refused_centre())]
 
 
 class CountingApply:
     """Stands in for certify.apply_step and counts its calls; ``refused``
     counts the certify_loose calls the rule refuses: the search asks the
-    rule's verdict first and never makes them."""
+    rule's verdict first and never makes them.  ``guard`` stands in for
+    certify._guard, and ``guarded`` says whether it held on any level."""
 
     def __init__(self):
         self.calls = self.refused = 0
+        self.guarded = False
         self.apply = certify.apply_step
+        self.real_guard = certify._guard
+
+    def guard(self, frontier, left, width):
+        held = self.real_guard(frontier, left, width)
+        self.guarded = self.guarded or held
+        return held
 
     def __call__(self, D, step):
         self.calls += 1
@@ -184,6 +223,7 @@ class LastApply(CountingApply):
 def counted(monkeypatch, run, *args):
     counter = CountingApply()
     monkeypatch.setattr(certify, "apply_step", counter)
+    monkeypatch.setattr(certify, "_guard", counter.guard)
     try:
         return run(*args), counter
     finally:
@@ -202,14 +242,15 @@ def check(D, depth, width, monkeypatch):
         assert verify_certificate(D, found).accepted
     assert searched.refused == 0
     assert searched.calls <= ref.calls
-    if found is None and last_steps is not None and width < last_steps:
-        # the guard holds on no level (see the module docstring), so no
-        # child is dropped or built past the width
+    if found is None and not searched.guarded:
+        # the guard held on no level, so no child is dropped or built
+        # past the width
         assert searched.calls == ref.calls - ref.refused
     return searched.calls, ref.calls, last_steps
 
 
-@pytest.mark.parametrize("name,D", DATA, ids=[name for name, _ in DATA])
+@pytest.mark.parametrize("name,D", COMPARED,
+                         ids=[name for name, _ in COMPARED])
 @pytest.mark.parametrize("depth", (0, 1, 2, 3))
 def test_matches_reference_at_fixed_widths(name, D, depth, monkeypatch):
     for width in FIXED_WIDTHS:
@@ -227,7 +268,9 @@ def test_matches_reference_at_the_guard_bound(name, D, depth, bound,
                                               monkeypatch):
     calls, ref_calls, last_steps = check(D, depth, bound, monkeypatch)
     assert last_steps == bound
-    # the last level drops the children that cannot be flagged in time
+    # the last parents' candidate steps fit in the width, so _guard holds
+    # there and the last level drops the children that cannot be flagged
+    # in time
     assert calls < ref_calls
     if bound > 1:
         check(D, depth, bound - 1, monkeypatch)
@@ -255,6 +298,52 @@ def test_matches_reference_on_seeded_data(seed, m, k, depth, width):
     D = seeded_datum(random.Random(seed), m, k)
     assert search_certificate(D, depth, width) == \
         reference_search(D, depth, width)[0]
+
+
+def guard_verdicts(D, depth):
+    """The guard oracle: wherever certify._guard holds on a level L of an
+    uncapped reference search with ``left`` levels to go, at a width the
+    search uses or at the largest level within reach or one below it,
+    every level from L + 1 to L + left has at most ``width`` nodes.
+    Levels past an accepting one are built too.  Return the number of
+    verdicts that held."""
+    seen, levels = {D}, [[(D, (), ())]]
+    for _ in range(depth):
+        levels.append(grow(levels[-1], seen, 10 ** 9))
+    held = 0
+    for L in range(depth):
+        frontier = [entry(*node) for node in levels[L]]
+        for left in range(1, depth - L + 1):
+            most = max(len(level) for level in levels[L + 1:L + left + 1])
+            for width in {*FIXED_WIDTHS, most - 1, most} - {-1, 0}:
+                if certify._guard(frontier, left, width):
+                    assert most <= width, (L, left, width)
+                    held += 1
+    return held
+
+
+@pytest.mark.parametrize("name,D", COMPARED,
+                         ids=[name for name, _ in COMPARED])
+def test_guard_holds_only_where_no_level_can_be_truncated(name, D):
+    assert guard_verdicts(D, 3) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((3, 4, 5)),
+       st.sampled_from((1, 2, 3)), st.integers(1, 3))
+def test_guard_holds_only_where_no_level_can_be_truncated_on_seeded_data(
+        seed, m, k, depth):
+    guard_verdicts(seeded_datum(random.Random(seed), m, k), depth)
+
+
+def test_guard_on_a_frontier_with_no_steps_returns_at_once():
+    """One cycle over a rank-0 fiber has no candidate step and so no
+    child: neither the guard nor the search may loop over the depth,
+    whose cost grows linearly with it."""
+    fiber = FiberModel(IntLattice((), 2), ())
+    D = LefschetzDatum(fiber, (trivial_cycle(fiber, SphereClass(())),))
+    assert certify._guard([entry(D)], 10 ** 18, 10)
+    assert search_certificate(D, 10 ** 9, 10) is None
 
 
 @pytest.mark.parametrize("name", ("x1", "x2"))
@@ -471,4 +560,5 @@ def test_x1_has_no_certificate_within_6_steps():
     for j in range(depth + 1):
         bound *= 9 + 4 * j
     assert bound == 30282525 <= width
+    assert certify._guard([entry(D)], depth + 1, width)
     assert search_certificate(D, depth + 1, width) is None
