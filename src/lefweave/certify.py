@@ -338,9 +338,9 @@ def flexify_after_handles(D_sf):
 
 
 @functools.lru_cache(maxsize=1024)
-def _child_steps(rank, label, marks, budget):
-    """The (step, summary entries) rows of a node's children that can
-    still be finished within ``budget`` steps.
+def _child_steps(rank, label, marks):
+    """The (step, summary entries, need) rows of a node's children: a
+    child is worth building only with at least ``need`` steps left.
 
     The node's fiber has rank ``rank`` and its next handle is
     ``label``; ``marks`` gives each cycle as 0 (unflagged), 1
@@ -370,8 +370,7 @@ def _child_steps(rank, label, marks, budget):
     about, so it can neither lead nor be certified.  The same
     certifications, re-indexed, finish the parent one level sooner, and
     a search with no truncated level returns at that level or before:
-    the child is never expanded.  Every need is at most k + 1, so a
-    budget of k + 1 drops only the refused certify_loose rows.
+    the child is never expanded.
     """
     k, u = len(marks), marks.count(0)
 
@@ -395,22 +394,22 @@ def _child_steps(rank, label, marks, budget):
     for j in range(rank):
         unit = tuple(1 if t == j else 0 for t in range(rank))
         rows.append((("stabilize", (unit, label)), u + 1))
-    return tuple((step, step_certifications(step, k))
-                 for step, needs in rows if needs <= budget)
+    return tuple((step, step_certifications(step, k), needs)
+                 for step, needs in rows)
 
 
 def _children(frontier, seen, spare):
     """Yield each unseen (child, moves, summary) of the frontier's
     (datum, marks, moves, summary) entries in canonical order, adding
-    the child to ``seen``; a node keeps the rows it can finish in
-    ``spare`` steps (see _child_steps).  A certify_loose row, the only
-    kind with summary entries, is built only if the rule's verdict
-    certifies it: a refused row makes no error and no engine call."""
+    the child to ``seen``; a row whose need exceeds ``spare`` is dropped
+    (see _child_steps).  A certify_loose row, the only kind with summary
+    entries, is built only if the rule's verdict certifies it: a refused
+    row makes no error and no engine call."""
     for datum, marks, moves, summary in frontier:
-        for step, certs in _child_steps(
-                datum.fiber.lattice.rank, stabilize_label(datum.fiber),
-                marks, min(spare, len(marks) + 1)):
-            if certs and _loose_pair_refusal(datum, step[1][0]) is not None:
+        for step, certs, need in _child_steps(
+                datum.fiber.lattice.rank, stabilize_label(datum.fiber), marks):
+            if need > spare or certs and _loose_pair_refusal(
+                    datum, step[1][0]) is not None:
                 continue
             try:
                 child = apply_step(datum, step)
@@ -480,6 +479,5 @@ def search_certificate(D, depth, width):
                 break
         if not frontier or not left:
             return None
-        # a budget above a node's cycle count drops no row the rule takes
         spare = left - 1 if _guard(frontier, left, width) else math.inf
         level = _children(frontier, seen, spare)

@@ -99,8 +99,10 @@ class PlumbingTree(Immutable):
 class FiberModel(Immutable):
     """An intersection lattice with named basis spheres.
 
-    stabilizing_spheres maps each added handle's label to the pairing
-    vector it was attached with (against the basis existing at the time).
+    stabilizing_spheres maps each handle's label to a pairing vector:
+    attach_stabilizing_handle records it against the basis existing at
+    the time, presets._marked_fiber against every other basis sphere,
+    and boundary_connect_sum keeps each summand's against its own basis.
     arc_system, when present, models the same fiber's matching arcs.
     ``_key`` is the fiber's share of a datum's equality key, built and
     hashed once.

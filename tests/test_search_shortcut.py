@@ -437,41 +437,31 @@ def fewest_steps(marks, cap):
 
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_child_steps_need_a_spare_step_for_rotate_and_stabilize(k):
-    """Every row of every marks tuple at every budget up to k + 1.
+    """The exact need of every row of every marks tuple.
 
-    A rotate or stabilize row needs u + 1.  A hurwitz or certify_loose
-    row is dropped at budget b only if the breadth-first search over
-    marks needs more than b moves to finish its child, and its need is
-    that search's minimum, capped at one beyond the child's unflagged
-    cycles: a child that u' certifications cannot finish needs u' + 1.
+    The rows are the table's steps in canonical order, less the
+    certify_loose steps whose lead is no stabilization sphere.  A rotate
+    or stabilize row needs u + 1.  A hurwitz or certify_loose row needs
+    the fewest moves of the breadth-first search over marks that finish
+    its child, capped at one beyond the child's unflagged cycles: a child
+    that u' certifications cannot finish needs u' + 1.
     """
     table = candidate_steps(k, 3, "s4")
     for marks in itertools.product((0, 1, 2), repeat=k):
         u = marks.count(0)
-        for budget in range(k + 2):
-            rows = certify._child_steps(3, "s4", marks, budget)
-            kept = [step for step, _ in rows]
-            assert kept == [step for step in table if step in kept]
-            assert all(certs == step_certifications(step, k)
-                       for step, certs in rows)
-            for step in table:
-                if step[0] in ("rotate", "stabilize"):
-                    assert (step in kept) == (u + 1 <= budget)
-                elif step[0] == "certify_loose" and marks[step[1][0] - 1] < 2:
-                    # the lead is no stabilization sphere: the rule refuses
-                    assert step not in kept
-                else:
-                    child = moved_marks(step, marks)
-                    fewest = fewest_steps(child, k + 1)
-                    if step not in kept:
-                        assert fewest > budget, (marks, step, budget)
-                    assert (step in kept) == (
-                        min(fewest, child.count(0) + 1) <= budget), \
-                        (marks, step, budget)
-            if budget == k + 1:
-                assert kept == [
-                    step for step in table if step[0] != "certify_loose"
-                    or marks[step[1][0] - 1] == 2]
+        rows = certify._child_steps(3, "s4", marks)
+        # the rule refuses a certify_loose step whose lead is no sphere
+        assert [step for step, _, _ in rows] == [
+            step for step in table if step[0] != "certify_loose"
+            or marks[step[1][0] - 1] == 2]
+        for step, certs, need in rows:
+            assert certs == step_certifications(step, k)
+            if step[0] in ("rotate", "stabilize"):
+                assert need == u + 1, (marks, step)
+            else:
+                child = moved_marks(step, marks)
+                assert need == min(fewest_steps(child, k + 1),
+                                   child.count(0) + 1), (marks, step)
 
 
 @pytest.mark.parametrize("name,D", DATA, ids=[name for name, _ in DATA])

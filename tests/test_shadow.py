@@ -130,6 +130,8 @@ SHADOW_REJECTIONS = (
     (("insert_sphere", (5, "e2")), "shadow: bad insert position"),
     (("insert_sphere", (-1, "e4")), "shadow: bad insert position"),
     (("warp", ()), "shadow: unknown move tag"),
+    # the lead, cycle 3, is the e2 sphere; cycle 4, e4, has an empty word
+    (("certify_loose", (3,)), "shadow: no twist letter"),
 )
 
 
