@@ -31,6 +31,13 @@ def exact_ints(values, error, what):
         raise error("%s must be integral" % what, values=values) from None
 
 
+def exact_int(value, error, what):
+    """exact_ints of one value: an int is returned as it is."""
+    if type(value) is int:
+        return value
+    return exact_ints((value,), error, what)[0]
+
+
 class Immutable:
     """Base of the value types: slotted, and closed to attribute assignment.
 

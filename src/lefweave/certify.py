@@ -20,10 +20,9 @@ the trace.
 
 import functools
 import math
-import operator
 from collections import namedtuple
 
-from . import LefweaveError, exact_ints
+from . import LefweaveError, exact_int
 from .lattice import pairing
 from .presentation import (
     LefschetzDatum,
@@ -61,9 +60,7 @@ def _loose_pair_refusal(D, i):
     k = len(D.cycles)
     if k < 2:
         return "need at least two cycles to certify", {"k": k}
-    # ints, which the search passes on every move, skip exact_ints
-    if type(i) is not int:
-        (i,) = exact_ints((i,), CertifyError, "certify position")
+    i = exact_int(i, CertifyError, "certify position")
     if not 1 <= i <= k:
         return "certify position out of range", {"i": i, "k": k}
     lead = D.cycles[i - 1]
@@ -100,7 +97,7 @@ def rule_loose_pair(D, i):
         message, context = refusal
         raise CertifyError(message, **context)
     cycles = list(D.cycles)
-    b = operator.index(i) % len(cycles)
+    b = exact_int(i, CertifyError, "certify position") % len(cycles)
     cycles[b] = cycles[b].as_loose()
     return LefschetzDatum(D.fiber, cycles, sf_spheres=D.sf_spheres)
 
@@ -120,7 +117,7 @@ def insert_sphere(D, after, label):
     if not known:
         raise CertifyError(
             "label does not name a stabilizing sphere", label=label)
-    (after,) = exact_ints((after,), CertifyError, "insert position")
+    after = exact_int(after, CertifyError, "insert position")
     k = len(D.cycles)
     if not 0 <= after <= k:
         raise CertifyError("insert position out of range", after=after, k=k)
@@ -455,10 +452,8 @@ def search_certificate(D, depth, width):
     never expanded: results and width semantics are those of building
     every level.
     """
-    # ints, which the CLI and the benchmark pass, skip exact_ints
-    if type(depth) is not int or type(width) is not int:
-        depth, width = exact_ints((depth, width), CertifyError,
-                                  "search bounds")
+    depth = exact_int(depth, CertifyError, "search bounds")
+    width = exact_int(width, CertifyError, "search bounds")
     if depth < 0:
         raise CertifyError("depth must be nonnegative", depth=depth)
     if width < 1:

@@ -15,7 +15,7 @@ spheres from added ones.
 
 import weakref
 
-from . import Immutable, LefweaveError, exact_ints
+from . import Immutable, LefweaveError, exact_int, exact_ints
 from .arcs import ArcSystem
 from .lattice import bordered, plumbed
 
@@ -105,7 +105,9 @@ class FiberModel(Immutable):
     and boundary_connect_sum keeps each summand's against its own basis.
     arc_system, when present, models the same fiber's matching arcs.
     ``_key`` is the fiber's share of a datum's equality key, built and
-    hashed once.
+    hashed once.  It names the handles by label alone: a search builds
+    every fiber it compares by attach_stabilizing_handle, whose vectors
+    the Gram rows fix.
     """
 
     __slots__ = ("lattice", "basis_labels", "stabilizing_spheres",
@@ -136,11 +138,7 @@ class FiberModel(Immutable):
         object.__setattr__(self, "basis_labels", basis_labels)
         object.__setattr__(self, "stabilizing_spheres", stab)
         object.__setattr__(self, "arc_system", arc_system)
-        try:
-            handles = tuple(sorted(stab.items()))
-        except TypeError:  # labels of types that do not compare
-            handles = tuple(sorted(stab.items(), key=repr))
-        key = (lattice, basis_labels, handles,
+        key = (lattice, basis_labels, frozenset(stab),
                None if arc_system is None else (arc_system.m, arc_system.n))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_key_hash", hash(key))
@@ -166,7 +164,7 @@ class FiberModel(Immutable):
 
 def plumbing_lattice(tree, n):
     """Intersection lattice of the plumbing of D*S^n along the tree."""
-    (n,) = exact_ints((n,), FiberError, "fiber dimension")
+    n = exact_int(n, FiberError, "fiber dimension")
     if n < 1:
         raise FiberError("fiber dimension must be positive", n=n)
     index = {v: i for i, v in enumerate(tree.vertices)}

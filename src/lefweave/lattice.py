@@ -25,7 +25,7 @@ Conventions, fixed once here and relied on everywhere else:
 All arithmetic is plain Python integers; values are immutable tuples.
 """
 
-from . import Immutable, LefweaveError, exact_ints
+from . import Immutable, LefweaveError, exact_int, exact_ints
 
 
 class LatticeError(LefweaveError):
@@ -56,7 +56,7 @@ class IntLattice(Immutable):
     def __init__(self, gram, n):
         gram = tuple(exact_ints(row, LatticeError, "gram entries")
                      for row in gram)
-        (n,) = exact_ints((n,), LatticeError, "n")
+        n = exact_int(n, LatticeError, "n")
         rank = len(gram)
         if any(len(row) != rank for row in gram):
             raise LatticeError("gram matrix must be square", rank=rank)
@@ -188,7 +188,7 @@ class TwistWord(Immutable):
     def __init__(self, letters, base):
         reduced = []
         for center, exp in letters:
-            (exp,) = exact_ints((exp,), LatticeError, "twist exponents")
+            exp = exact_int(exp, LatticeError, "twist exponents")
             if exp == 0:
                 continue
             if reduced and reduced[-1][0].coords == center.coords:

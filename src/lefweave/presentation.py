@@ -10,7 +10,7 @@ positions are 1-based and cyclic: position i acts on the adjacent pair
 (i, i+1), with i = k wrapping around to pair (k, 1).
 """
 
-from . import Immutable, LefweaveError, exact_ints
+from . import Immutable, LefweaveError, exact_int, exact_ints
 from .arcs import apply_half_twist
 from .fibers import FiberModel, attach_stabilizing_handle
 from .lattice import TwistWord, evaluate_word, orthogonal_sum, pairing, \
@@ -176,9 +176,7 @@ def _pair_positions(D, i):
     k = len(D.cycles)
     if k < 2:
         raise MoveError("need at least two cycles to move", k=k)
-    # ints, which the search passes on every move, skip exact_ints
-    if type(i) is not int:
-        (i,) = exact_ints((i,), MoveError, "move position")
+    i = exact_int(i, MoveError, "move position")
     if not 1 <= i <= k:
         raise MoveError("move position out of range", i=i, k=k)
     return i - 1, i % k

@@ -50,17 +50,21 @@ def _marked_fiber(m, handles):
                       arc_system=base.arc_system)
 
 
-def x1():
-    """W(A2; e1, tw(e2)^2 e1); cycle 2 recorded as re-twisted by e2."""
-    fiber = _marked_fiber(3, ("e2",))
+def _x1_cycles(fiber):
+    """The a1 sphere and tw(a2)^2 a1 on a matching fiber."""
     sys = fiber.arc_system
     a1 = standard_arc(sys, 1)
     a2 = standard_arc(sys, 2)
-    cycles = (
+    return (
         _arc_cycle(fiber, a1, stabilization_sphere=True),
         _arc_cycle(fiber, apply_half_twist(sys, a2, a1, power=2)),
     )
-    return LefschetzDatum(fiber, cycles, sf_spheres=((2, "e2"),))
+
+
+def x1():
+    """W(A2; e1, tw(e2)^2 e1); cycle 2 recorded as re-twisted by e2."""
+    fiber = _marked_fiber(3, ("e2",))
+    return LefschetzDatum(fiber, _x1_cycles(fiber), sf_spheres=((2, "e2"),))
 
 
 def x1_plus_cycle():
@@ -71,17 +75,10 @@ def x1_plus_cycle():
 def x2():
     """W(A4; e1, tw(e2)^2 e1, e2, e4); one Hurwitz move certifies."""
     fiber = _marked_fiber(5, ("e2", "e4"))
-    sys = fiber.arc_system
-    a1 = standard_arc(sys, 1)
-    a2 = standard_arc(sys, 2)
-    a4 = standard_arc(sys, 4)
-    cycles = (
-        _arc_cycle(fiber, a1, stabilization_sphere=True),
-        _arc_cycle(fiber, apply_half_twist(sys, a2, a1, power=2)),
-        _arc_cycle(fiber, a2, stabilization_sphere=True),
-        _arc_cycle(fiber, a4, stabilization_sphere=True),
-    )
-    return LefschetzDatum(fiber, cycles)
+    spheres = tuple(
+        _arc_cycle(fiber, standard_arc(fiber.arc_system, j),
+                   stabilization_sphere=True) for j in (2, 4))
+    return LefschetzDatum(fiber, _x1_cycles(fiber) + spheres)
 
 
 PRESETS = {
