@@ -199,7 +199,8 @@ def step_certifications(step, k):
     Certifying the pair at position i marks cycle i % k + 1 loose.
     """
     if step[0] == "certify_loose":
-        return ((step[1][0] % k + 1, "loose_pair"),)
+        i = exact_int(step[1][0], CertifyError, "certify position")
+        return ((i % k + 1, "loose_pair"),)
     return ()
 
 
@@ -230,8 +231,9 @@ def replay(D, moves):
 def _describe(step, k):
     tag, args = step
     if tag in ("hurwitz_left", "hurwitz_right", "certify_loose"):
-        text = "%s %d" % (tag, args[0])
-        if k >= 2 and args[0] == k:
+        i = exact_int(args[0], CertifyError, "move position")
+        text = "%s %d" % (tag, i)
+        if k >= 2 and i == k:
             text += " [wrap]"
         return text
     if tag == "stabilize":

@@ -99,15 +99,11 @@ class PlumbingTree(Immutable):
 class FiberModel(Immutable):
     """An intersection lattice with named basis spheres.
 
-    stabilizing_spheres maps each handle's label to a pairing vector:
-    attach_stabilizing_handle records it against the basis existing at
-    the time, presets._marked_fiber against every other basis sphere,
-    and boundary_connect_sum keeps each summand's against its own basis.
+    stabilizing_spheres is the frozenset of basis labels that are
+    stabilizing handles; a handle's pairings are its Gram row.
     arc_system, when present, models the same fiber's matching arcs.
     ``_key`` is the fiber's share of a datum's equality key, built and
-    hashed once.  It names the handles by label alone: a search builds
-    every fiber it compares by attach_stabilizing_handle, whose vectors
-    the Gram rows fix.
+    hashed once.
     """
 
     __slots__ = ("lattice", "basis_labels", "stabilizing_spheres",
@@ -123,7 +119,7 @@ class FiberModel(Immutable):
         if len(_distinct(basis_labels, "basis labels")) != len(basis_labels):
             raise FiberError("duplicate basis labels", labels=basis_labels)
         try:
-            stab = dict(stabilizing_spheres or {})
+            stab = frozenset(stabilizing_spheres or ())
         except TypeError:  # an unhashable label
             raise FiberError("stabilizing labels must be hashable",
                              spheres=stabilizing_spheres) from None
@@ -138,7 +134,7 @@ class FiberModel(Immutable):
         object.__setattr__(self, "basis_labels", basis_labels)
         object.__setattr__(self, "stabilizing_spheres", stab)
         object.__setattr__(self, "arc_system", arc_system)
-        key = (lattice, basis_labels, frozenset(stab),
+        key = (lattice, basis_labels, stab,
                None if arc_system is None else (arc_system.m, arc_system.n))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_key_hash", hash(key))
@@ -201,10 +197,8 @@ def attach_stabilizing_handle(fiber, pairings, label):
     if label in fiber.basis_labels:
         raise FiberError("label already used in this fiber", label=label)
     lattice = bordered(fiber.lattice, pairings)
-    stab = dict(fiber.stabilizing_spheres)
-    stab[label] = pairings
-    model = FiberModel(lattice, fiber.basis_labels + (label,), stab,
-                       fiber.arc_system)
+    model = FiberModel(lattice, fiber.basis_labels + (label,),
+                       fiber.stabilizing_spheres | {label}, fiber.arc_system)
     sphere = lattice.basis_sphere(rank + 1)
     object.__setattr__(model, "_handle", sphere)
     children[(pairings, label)] = model

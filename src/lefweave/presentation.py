@@ -317,9 +317,8 @@ def boundary_connect_sum(D1, D2):
         rename[lab] = _fresh_label(lab, labels)
         labels.append(rename[lab])
     lattice = orthogonal_sum(D1.fiber.lattice, D2.fiber.lattice)
-    stab = dict(D1.fiber.stabilizing_spheres)
-    for lab, vec in D2.fiber.stabilizing_spheres.items():
-        stab[rename[lab]] = vec
+    stab = D1.fiber.stabilizing_spheres | {
+        rename[lab] for lab in D2.fiber.stabilizing_spheres}
     fiber = FiberModel(lattice, labels, stab)
     # arcs live in each summand's own disk model; the sum has none
     cycles = [_embed_cycle(c, 0, r2, keep_arc=False) for c in D1.cycles]

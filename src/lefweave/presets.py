@@ -32,21 +32,10 @@ def _arc_cycle(fiber, arc, stabilization_sphere=False):
 
 
 def _marked_fiber(m, handles):
-    """The A_{m-1} matching fiber with basis handles marked stabilizing.
-
-    Each marked handle records its pairings against the other basis
-    spheres in order, i.e. the vector it would have been attached with
-    had it come last.
-    """
+    """The A_{m-1} matching fiber with the named basis handles stabilizing."""
     base = ak_matching_fiber(m, 2)
-    gram = base.lattice.gram
-    marked = {}
-    for label in handles:
-        j = base.basis_labels.index(label)
-        marked[label] = tuple(
-            gram[j][t] for t in range(len(gram)) if t != j)
     return FiberModel(base.lattice, base.basis_labels,
-                      stabilizing_spheres=marked,
+                      stabilizing_spheres=handles,
                       arc_system=base.arc_system)
 
 

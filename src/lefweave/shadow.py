@@ -8,6 +8,7 @@ cannot silently certify.  It shares no code with the engine: it imports
 the standard library and the package's error base only.
 """
 
+import operator
 from collections import namedtuple
 
 from . import LefweaveError
@@ -93,6 +94,7 @@ def _pad_cycle(c, before, after):
 
 def _sh_positions(state, i):
     k = len(state["cycles"])
+    i = operator.index(i)
     if k < 2 or not 1 <= i <= k:
         raise ShadowError("shadow: bad pair position", i=i, k=k)
     return i - 1, i % k
@@ -217,7 +219,7 @@ def _sh_apply(state, step):
             + [_pad_cycle(c, r1, 0) for c in other["cycles"]])
         return
     if tag == "insert_sphere":
-        after, label = args
+        after, label = operator.index(args[0]), args[1]
         if label not in state["catalog"]:
             raise ShadowError("shadow: not a stabilizing sphere",
                                label=label)

@@ -30,6 +30,7 @@ from lefweave.certify import (
     apply_step,
     flexify_after_handles,
     insert_sphere,
+    replay,
     rule_loose_pair,
     search_certificate,
     verify_certificate,
@@ -299,6 +300,43 @@ def test_verify_marks_wraparound_in_trace():
     res = verify_certificate(flipped, cert)
     assert res.accepted
     assert "[wrap]" in res.trace[0]
+
+
+class Ix:
+    """An integral position that is no int: it has __index__ alone."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def flipped_loose_datum():
+    """(tau_S e, S*): the loose pair sits at position k = 2."""
+    D = loose_ready_datum()
+    return LefschetzDatum(D.fiber, D.cycles[::-1])
+
+
+@pytest.mark.parametrize("build,moves,summary", (
+    (presets.x2, (("hurwitz_right", (2,)), ("certify_loose", (2,))),
+     ((3, "loose_pair"),)),
+    (flipped_loose_datum, (("certify_loose", (2,)),), ((1, "loose_pair"),)),
+    (presets.x1, (("insert_sphere", (2, "e2")), ("hurwitz_right", (2,)),
+                  ("certify_loose", (2,))), ((3, "loose_pair"),)),
+), ids=("x2", "wrap", "insert"))
+def test_an_index_only_position_verifies_as_its_int(build, moves, summary):
+    # the engine reads positions with operator.index; the summary, the
+    # trace's [wrap] mark and the shadow must read them the same way
+    D = build()
+    indexed = tuple((tag, (Ix(args[0]),) + args[1:]) for tag, args in moves)
+    expected = verify_certificate(D, Certificate(moves, summary, "flexible"))
+    assert expected.accepted
+    assert verify_certificate(
+        D, Certificate(indexed, summary, "flexible")) == expected
+    final, cert = replay(D, indexed)
+    assert (final, cert.certifications, cert.terminal_claim) == (
+        expected.final, summary, "flexible")
 
 
 def test_verify_accepts_all_sphere_datum_as_subcritical():

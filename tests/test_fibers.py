@@ -49,7 +49,7 @@ def test_a2_plumbing_frozen():
     assert F.lattice.gram == ((-2, 1), (1, -2))
     assert det([list(r) for r in F.lattice.gram]) == 3
     assert F.basis_labels == ("u", "v")
-    assert F.stabilizing_spheres == {}
+    assert F.stabilizing_spheres == frozenset()
     assert F.arc_system is None
 
 
@@ -130,8 +130,13 @@ A2 = plumbing_lattice(PlumbingTree.path(2), 2).lattice
      "stabilizing label is not in the basis"),
     (lambda: FiberModel(A1, ["a"], arc_system=ArcSystem(3)),
      "arc system larger than the lattice"),
+    # a tuple in place of a label names no basis sphere
+    (lambda: FiberModel(A1, ["a"], [("a",)]),
+     "stabilizing label is not in the basis"),
+    (lambda: FiberModel(A1, ["a"], [("a", 1, 2)]),
+     "stabilizing label is not in the basis"),
 ), ids=("label-count", "duplicate-labels", "stabilizing-label-outside",
-        "arcs-past-rank"))
+        "arcs-past-rank", "handle-one-tuple", "handle-triple"))
 def test_a_malformed_fiber_is_a_fiber_error(build, message):
     with pytest.raises(FiberError, match=message):
         build()
@@ -172,7 +177,7 @@ def test_attach_frozen_a1():
     assert F2.lattice.gram == ((-2, 1), (1, -2))
     assert s.coords == (0, 1)
     assert F2.basis_labels == ("e1", "s1")
-    assert F2.stabilizing_spheres == {"s1": (1,)}
+    assert F2.stabilizing_spheres == {"s1"}
     # original untouched
     assert F.lattice.rank == 1
 

@@ -216,7 +216,7 @@ def test_stabilize_frozen():
     out = stabilize(D, (1,), "s1")
     assert out.fiber.lattice.gram == ((-2, 1), (1, -2))
     assert out.fiber.basis_labels == ("e1", "s1")
-    assert out.fiber.stabilizing_spheres == {"s1": (1,)}
+    assert out.fiber.stabilizing_spheres == {"s1"}
     assert classes(out) == ((1, 0), (1, 0), (0, 1))
     assert out.cycles[2].stabilization_sphere
     assert not out.cycles[0].stabilization_sphere
@@ -243,7 +243,7 @@ def test_subflexibilize_frozen_even():
         (1, 0, -2),
     )
     assert out.fiber.basis_labels == ("e1", "s1", "s2")
-    assert out.fiber.stabilizing_spheres == {"s1": (1,), "s2": (1, 0)}
+    assert out.fiber.stabilizing_spheres == {"s1", "s2"}
     # tau^2 acts trivially on classes for n even
     assert classes(out) == ((1, 0, 0), (1, 0, 0))
     s1 = out.fiber.basis_sphere("s1")
