@@ -35,6 +35,7 @@ All arithmetic is in integers: the signature of Q comes from
 fraction-free symmetric elimination (Bareiss, Math. Comp. 22 (1968)).
 """
 
+import math
 from collections import namedtuple
 
 from . import LefweaveError
@@ -90,27 +91,18 @@ def total_space_homology(D):
 def _homology(D, divisors):
     """total_space_homology, given the nonzero SNF divisors of D's d."""
     n = D.n
-    rank = D.fiber.lattice.rank
-    k = len(D.cycles)
     r = len(divisors)
     torsion = tuple(d for d in divisors if d > 1)
-    homology = []
-    for deg in range(n + 2):
-        free, tor = 0, ()
-        if deg == 0:
-            free = 1
-        if deg == n:
-            free += rank - r
-            tor = torsion
-        if deg == n + 1:
-            free += k - r
-        homology.append((deg, free, tor))
+    # IntLattice refuses n < 1, so degrees 0, n and n + 1 are distinct
+    homology = ((0, 1, ()),) + tuple((deg, 0, ()) for deg in range(1, n)) \
+        + ((n, D.fiber.lattice.rank - r, torsion),
+           (n + 1, len(D.cycles) - r, ()))
     chi = sum((-1) ** deg * free for deg, free, _ in homology)
     if chi != _euler_formula(D):
         raise InvariantError(
             "homology disagrees with the Euler formula",
             chi=chi, formula=_euler_formula(D))
-    return TotalSpaceInvariants(n, chi, tuple(homology), None, None, None)
+    return TotalSpaceInvariants(n, chi, homology, None, None, None)
 
 
 def middle_intersection_form(D):
@@ -164,9 +156,7 @@ def form_invariants(matrix, symmetric):
     """(rank, |det| of the nondegenerate part, signature or None)."""
     divisors = [x for x in smith_normal_form(matrix)[0] if x]
     rank = len(divisors)
-    abs_det = 1
-    for d in divisors:
-        abs_det *= d
+    abs_det = math.prod(divisors)
     if not symmetric:
         return (rank, abs_det, None)
     return (rank, abs_det, _signature(matrix))

@@ -55,6 +55,25 @@ def test_run_examples_match_goldens():
         assert proc.stdout == golden, name
 
 
+def test_readme_script_example_runs(tmp_path, capsys):
+    """The fenced block under README's "Script language" heading runs:
+    the flex certificate verifies, and search finds nothing for X1 at
+    depth 4 and width 100, so the run exits 1."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Script language\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    status, out, err = run_main(capsys, ["run", write(tmp_path, block)])
+    assert status == 1 and err == ""
+    verify, invariants, search = json.loads(out)["results"]
+    assert (verify["command"], verify["script"], verify["accepted"]) == \
+        ("verify", "flex", True)
+    assert (invariants["command"], invariants["datum"]) == \
+        ("print invariants", "X2")
+    assert (search["command"], search["datum"], search["depth"],
+            search["width"], search["found"]) == \
+        ("search", "X1", 4, 100, False)
+
+
 def test_run_x1_values(tmp_path, capsys):
     status, out, err = run_main(
         capsys, ["run", write(tmp_path, X1_TEXT)])
@@ -175,15 +194,23 @@ def test_runtime_error_exits_2(tmp_path, capsys):
     assert "while defining 's'" in err
     assert "out of range" in err
 
-    # unreadable input and an unwritable --json-out: one line, no traceback
+    # unreadable input, an unwritable --json-out and engine errors on a
+    # script that parses: one line, no traceback
     not_utf8 = tmp_path / "latin.lef"
     not_utf8.write_bytes(b"\xff\xfe fiber\n")
     missing_dir = str(tmp_path / "missing" / "out.json")
+    no_label = tmp_path / "no_label.lef"
+    no_label.write_text("fiber a1 = ak 2 n=2\ndatum D over a1 = [e9]\n",
+                        encoding="utf-8")
+    flat = tmp_path / "flat.lef"
+    flat.write_text("fiber p = plumbing a2 n=0\n", encoding="utf-8")
     for argv, fragment in (
             (["check", str(not_utf8)], "codec can't decode"),
             (["run", str(not_utf8)], "codec can't decode"),
             (["run", write(tmp_path, X1_TEXT), "--json-out", missing_dir],
-             "No such file or directory")):
+             "No such file or directory"),
+            (["run", str(no_label)], "no basis sphere with this label"),
+            (["run", str(flat)], "fiber dimension must be positive")):
         status, out, err = run_main(capsys, argv)
         assert status == 2 and out == "", argv
         assert err.startswith("lefweave: ") and err.count("\n") == 1, err

@@ -101,6 +101,8 @@ def test_zero_twist_exponent_rejected():
     check_error(
         "fiber a2 = ak 3 n=2\ndatum D over a2 = [tw(e2)^0 e1]\n",
         "zero twist exponent", 2, 27)
+    check_error("fiber a = ak 3 n=2\ndatum D over a = [3]\n",
+                "expected a cycle expression", 2, 19)
 
 
 def test_unknown_names_suggest():
@@ -123,6 +125,8 @@ def test_statement_and_step_suggestions():
         "datum D over a1 = [e1]\n"
         "script s on D { rotte }\n",
         "did you mean 'rotate'", 3, 17)
+    check_error("fiber a = akk 3 n=2\n",
+                "expected 'ak' or 'plumbing' (did you mean 'ak'?)", 1, 11)
 
 
 def test_verify_requires_script():
@@ -136,6 +140,9 @@ def test_trailing_and_lexical_errors():
                 "unexpected trailing input", 1, 20)
     check_error("fiber a = ak 2 n=2\ndatum D over a = [e1] @\n",
                 "unexpected character", 2, 23)
+    check_error("fiber a = ak 3 m=2\n", "expected 'n'", 1, 16)
+    check_error("fiber a = ak 3 n=2\ndatum D under a = [e1]\n",
+                "expected 'over' or '='", 2, 9)
 
 
 def test_script_errors():
@@ -145,6 +152,16 @@ def test_script_errors():
         "datum D over a1 = [e1]\n"
         "script s on D { rotate\n",
         "unterminated script", 3, 1)
+    check_error(
+        "fiber a = ak 3 n=2\n"
+        "datum D over a = [e1, e2]\n"
+        "script s on D { hurwitzL 0 }\n",
+        "positions are 1-based", 3, 26)
+    check_error(
+        "fiber a = ak 3 n=2\n"
+        "datum D over a = [e1]\n"
+        "script s on D { subflex [e1] }\n",
+        "expected a pairing vector or 'none'", 3, 26)
 
 
 def test_plumbing_shorthand_only():

@@ -21,7 +21,10 @@ guard oracle checks that claim on every level of an uncapped reference
 search.  ``check`` records the guard's verdicts: a search that accepts
 nothing and on which the guard held on no level builds every level as
 the reference does, but for the certify_loose children the rule
-refuses.
+refuses.  The premise test checks the count the guard's verdict rests
+on, asking certify._guard itself: on one node, it counts at least the
+node's candidate steps, and at least as many for each child as the
+child with the most has.
 """
 
 import functools
@@ -300,6 +303,15 @@ def test_matches_reference_on_seeded_data(seed, m, k, depth, width):
         reference_search(D, depth, width)[0]
 
 
+def reference_levels(D, depth):
+    """Levels 0 to ``depth`` of an uncapped reference search, built past
+    an accepting level too."""
+    seen, levels = {D}, [[(D, (), ())]]
+    for _ in range(depth):
+        levels.append(grow(levels[-1], seen, 10 ** 9))
+    return levels
+
+
 def guard_verdicts(D, depth):
     """The guard oracle: wherever certify._guard holds on a level L of an
     uncapped reference search with ``left`` levels to go, at a width the
@@ -307,9 +319,7 @@ def guard_verdicts(D, depth):
     every level from L + 1 to L + left has at most ``width`` nodes.
     Levels past an accepting one are built too.  Return the number of
     verdicts that held."""
-    seen, levels = {D}, [[(D, (), ())]]
-    for _ in range(depth):
-        levels.append(grow(levels[-1], seen, 10 ** 9))
+    levels = reference_levels(D, depth)
     held = 0
     for L in range(depth):
         frontier = [entry(*node) for node in levels[L]]
@@ -328,12 +338,54 @@ def test_guard_holds_only_where_no_level_can_be_truncated(name, D):
     assert guard_verdicts(D, 3) > 0
 
 
+# the seeded data of the guard oracle: seed, marked points, cycles, depth
+GUARD_SEEDS = (st.integers(0, 2 ** 32 - 1), st.sampled_from((3, 4, 5)),
+               st.sampled_from((1, 2, 3)), st.integers(1, 3))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((3, 4, 5)),
-       st.sampled_from((1, 2, 3)), st.integers(1, 3))
+@given(*GUARD_SEEDS)
 def test_guard_holds_only_where_no_level_can_be_truncated_on_seeded_data(
         seed, m, k, depth):
     guard_verdicts(seeded_datum(random.Random(seed), m, k), depth)
+
+
+def guard_premises(D, depth):
+    """The guard's premises, asked of certify._guard itself on each
+    parent P of the uncapped reference levels: on the one-node frontier
+    P, the guard's count of P's children is at least P's c candidate
+    steps, and its count of their children at least c times the most
+    candidate steps m of any child.  So it cannot hold at width c - 1
+    with one level to go, nor at c * m - 1 with two.  A sharper count
+    passes; one that misses a row does not.  Return the parents
+    checked."""
+    parents = 0
+    for level in reference_levels(D, depth)[:-1]:
+        for P, _, _ in level:
+            steps = reference_steps(P)
+            c, m = len(steps), 0
+            for step in steps:
+                try:
+                    child = certify.apply_step(P, step)
+                except LefweaveError:
+                    continue
+                m = max(m, len(reference_steps(child)))
+            assert not certify._guard([entry(P)], 1, c - 1), P
+            assert not certify._guard([entry(P)], 2, c * m - 1), P
+            parents += 1
+    return parents
+
+
+@pytest.mark.parametrize("name,D", DATA, ids=[name for name, _ in DATA])
+def test_guard_counts_every_candidate_step(name, D):
+    assert guard_premises(D, 3) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(*GUARD_SEEDS)
+def test_guard_counts_every_candidate_step_on_seeded_data(seed, m, k,
+                                                          depth):
+    guard_premises(seeded_datum(random.Random(seed), m, k), depth)
 
 
 def test_guard_on_a_frontier_with_no_steps_returns_at_once():
