@@ -20,7 +20,7 @@ naturality, tau_{phi(e)} = phi tau_e phi^{-1}, makes this the class the
 half-twist history gives.
 """
 
-from . import LefweaveError
+from . import LefweaveError, exact_int, exact_ints
 from .lattice import SphereClass, TwistWord, plumbed, twist_power
 
 
@@ -156,6 +156,7 @@ class ArcSystem:
     """
 
     def __init__(self, m, n=2):
+        m, n = exact_ints((m, n), ArcError, "point count and dimension")
         if m < 2:
             raise ArcError("an arc system needs at least 2 points", m=m)
         if n < 1:
@@ -174,6 +175,7 @@ class ArcSystem:
 
 def standard_arc(system, k):
     """The straight edge from p_k to p_{k+1}."""
+    k = exact_int(k, ArcError, "standard arc index")
     if not 1 <= k <= system.m - 1:
         raise ArcError(
             "standard arc index out of range", k=k, m=system.m
@@ -187,6 +189,7 @@ def apply_half_twist(system, arc, target, power=1):
         raise ArcError(
             "arcs belong to a different system", m=system.m
         )
+    power = exact_int(power, ArcError, "half-twist power")
     if power == 0:
         return target
     image = MatchingArc(system, target.base_index,

@@ -25,6 +25,8 @@ Conventions, fixed once here and relied on everywhere else:
 All arithmetic is plain Python integers; values are immutable tuples.
 """
 
+import operator
+
 from . import Immutable, LefweaveError, exact_int, exact_ints
 
 
@@ -47,6 +49,9 @@ def sphere_self_pairing(n):
 class IntLattice(Immutable):
     """A finitely generated free abelian group with an integer Gram form.
 
+    Every lattice, grown or not, passes this constructor's sign-rule
+    check, whose LatticeError names the first row i, then the first
+    column j in it, with gram[i][j] != pairing_sign(n) * gram[j][i].
     ``_centers`` holds the coordinates of every twist center this
     lattice has accepted, so each is checked once (see twist_power).
     """
@@ -63,25 +68,17 @@ class IntLattice(Immutable):
         if n < 1:
             raise LatticeError("n must be a positive integer", n=n)
         flip = pairing_sign(n)
-        for i in range(rank):
-            for j in range(rank):
-                if gram[j][i] != flip * gram[i][j]:
-                    raise LatticeError(
-                        "gram breaks the sign rule <y,x> = %+d <x,y> for n=%d"
-                        % (flip, n), i=i, j=j)
-        self._fill(gram, n)
-
-    @classmethod
-    def _of(cls, gram, n):
-        """Build from int rows that already obey the sign rule."""
-        self = object.__new__(cls)
-        self._fill(gram, n)
-        return self
-
-    def _fill(self, gram, n):
+        for i, column in enumerate(zip(*gram)):
+            if flip < 0:
+                column = tuple(map(operator.neg, column))
+            if gram[i] != column:
+                j = next(j for j in range(rank) if gram[i][j] != column[j])
+                raise LatticeError(
+                    "gram breaks the sign rule <y,x> = %+d <x,y> for n=%d"
+                    % (flip, n), i=i, j=j)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rank", len(gram))
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_centers", set())
 
     def basis_sphere(self, i):
@@ -125,18 +122,17 @@ def bordered(L, pairings):
     """L grown by one sphere s, last, with <s, b_j> = pairings[j].
 
     ``pairings`` is a tuple of ints, one per basis vector of L; s has
-    the sphere self-pairing.  A valid Gram bordered by the sign rule
-    stays valid, so the rows are not checked again.
+    the sphere self-pairing.
     """
     n = L.n
     flip = pairing_sign(n)
     gram = tuple(row + (flip * p,) for row, p in zip(L.gram, pairings)) \
         + (pairings + (sphere_self_pairing(n),),)
-    return IntLattice._of(gram, n)
+    return IntLattice(gram, n)
 
 
 def orthogonal_sum(L1, L2):
-    """L1's basis, then L2's, no pairing between them; rows are checked."""
+    """L1's basis, then L2's, no pairing between them."""
     r1, r2 = L1.rank, L2.rank
     gram = tuple(row + (0,) * r2 for row in L1.gram) \
         + tuple((0,) * r1 + row for row in L2.gram)

@@ -25,9 +25,10 @@ class VanishingCycle(Immutable):
     """A vanishing cycle: symbolic twist word, cached class, flags.
 
     Invariant: ``klass == evaluate_word(lattice, word)``.  The public
-    constructor evaluates the word.  The moves below instead derive the
-    class of a new cycle from cached classes, by one twist or by padding
-    into a larger lattice, which gives the same value exactly.  The
+    constructor evaluates the word.  Hurwitz moves and fiber growth,
+    which the search runs per node, instead derive a new cycle's class
+    from cached classes, by one twist or by padding into a larger
+    lattice, which gives the same value exactly.  The
     engine-consistency tests check the invariant after random moves, and
     verify_certificate's independent replay re-evaluates every word.
     ``stabilization_sphere`` marks cycles introduced by a stabilize step;
@@ -292,9 +293,8 @@ def subflexibilize(D, disk_pairings):
             raise MoveError(
                 "attaching disk must meet its cycle exactly once",
                 i=pos, pairing=hits)
-        cycles[pos - 1] = VanishingCycle._derived(
-            target.word.prepend(sphere, 2),
-            twist_power(lattice, sphere, target.klass, 2))
+        cycles[pos - 1] = VanishingCycle(lattice,
+                                         target.word.prepend(sphere, 2))
         provenance.append((pos, label))
     return LefschetzDatum(fiber, cycles, sf_spheres=provenance)
 

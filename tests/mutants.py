@@ -5,7 +5,8 @@ occurs there exactly once, the text that replaces it, and a tier-1 test
 id that the mutant must fail.  The entries are one-token slips in the
 search's arguments (the guard's row count and level loop, the flag
 budget's readiness test, the loose-pair rule), in the shadow's own
-position coercion and in the total-space homology formula.  The three
+position coercion and letter cancellation, in the total-space homology
+formula and in the sign flip of the Gram check.  The three
 row-count slips passed all of tier-1 until the guard-premise tests of
 tests/test_search_shortcut.py.
 
@@ -68,6 +69,14 @@ MUTANTS = (
      "len(D.cycles) - r",
      "len(D.cycles)",
      "tests/test_presets.py::test_x2_shape_and_homology"),
+    ("lattice.py",
+     "column = tuple(map(operator.neg, column))",
+     "column = tuple(column)",
+     "tests/test_lattice.py::test_the_first_sign_rule_violation_is_named[odd-n-symmetric]"),
+    ("shadow.py",
+     "return letters[1:]",
+     "return letters",
+     "tests/test_shadow.py::test_a_cancelled_letter_replays_alike"),
 )
 
 

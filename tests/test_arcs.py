@@ -95,7 +95,22 @@ def test_standard_arc_shape():
     (lambda: apply_half_twist(ArcSystem(3), standard_arc(ArcSystem(3), 1),
                               standard_arc(ArcSystem(4), 1)),
      "different system"),
-), ids=("one-point", "n-0", "foreign-center", "foreign-target"))
+    (lambda: ArcSystem(2.5), "must be integral"),
+    (lambda: ArcSystem(3.0), "must be integral"),
+    (lambda: ArcSystem("3"), "must be integral"),
+    (lambda: ArcSystem(3, "2"), "must be integral"),
+    (lambda: standard_arc(ArcSystem(4), 1.5), "must be integral"),
+    (lambda: standard_arc(ArcSystem(4), "1"), "must be integral"),
+    (lambda: apply_half_twist(ArcSystem(3), standard_arc(ArcSystem(3), 1),
+                              standard_arc(ArcSystem(3), 2), power=1.5),
+     "must be integral"),
+    (lambda: apply_half_twist(ArcSystem(3), standard_arc(ArcSystem(3), 1),
+                              standard_arc(ArcSystem(3), 2), power="1"),
+     "must be integral"),
+), ids=("one-point", "n-0", "foreign-center", "foreign-target",
+        "fractional-m", "float-m", "string-m", "string-n",
+        "fractional-arc-index", "string-arc-index", "fractional-power",
+        "string-power"))
 def test_a_malformed_arc_input_is_an_arc_error(build, message):
     with pytest.raises(ArcError, match=message):
         build()

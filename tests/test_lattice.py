@@ -73,6 +73,18 @@ def test_gram_parity_validation():
         IntLattice([[1, 1], [-1, 0]], n=3)  # nonzero diagonal for odd n
 
 
+@pytest.mark.parametrize("gram,n,where", (
+    ([[-2, 1], [0, -2]], 2, (0, 1)),
+    ([[0, 1, 0], [-1, 0, 2], [0, 2, 0]], 1, (1, 2)),
+    ([[0, 1], [1, 0]], 3, (0, 1)),
+), ids=("even-n-asymmetric", "odd-n-first-bad-row", "odd-n-symmetric"))
+def test_the_first_sign_rule_violation_is_named(gram, n, where):
+    # the first row that breaks the rule, then the first column in it
+    with pytest.raises(LatticeError, match="sign rule") as info:
+        IntLattice(gram, n)
+    assert (info.value.context["i"], info.value.context["j"]) == where
+
+
 def test_dehn_twist_even_frozen():
     L = a2_lattice(2)
     e1, e2 = L.basis_sphere(1), L.basis_sphere(2)
@@ -324,7 +336,7 @@ def test_grown_lattices_pass_the_validating_constructor(n):
         L = chain[-1]
         chain.append(bordered(
             L, tuple(rng.randint(-2, 2) for _ in range(L.rank))))
-    # bordered trusts its rows: the validating constructor must agree
+    # the constructor's own check passed; rebuilding gives the same lattice
     for L in chain + [orthogonal_sum(chain[1], chain[3])]:
         assert IntLattice(L.gram, L.n) == L
     assert [L.rank for L in chain] == [3, 4, 5, 6]

@@ -225,6 +225,15 @@ def test_stabilize_frozen():
         assert cyc.klass == evaluate_word(out.fiber.lattice, cyc.word)
 
 
+def test_a_cycle_repr_names_its_flags():
+    out = stabilize(a1_datum(), (1,), "s1")
+    assert repr(out.cycles[0]) == "VanishingCycle((1, 0))"
+    assert repr(out.cycles[2]) == "VanishingCycle((0, 1), sphere)"
+    assert repr(out.cycles[0].as_loose()) == "VanishingCycle((1, 0), loose)"
+    assert repr(out.cycles[2].as_loose()) == \
+        "VanishingCycle((0, 1), sphere, loose)"
+
+
 def test_stabilize_disjoint_handles_commute():
     D = a1_datum()
     one = stabilize(stabilize(D, (0,), "h1"), (0, 0), "h2")

@@ -114,6 +114,17 @@ def test_an_unchecked_certification_rejects(monkeypatch):
     assert rejection(presets.x1(), cert) == "shadow: head letter mismatch"
 
 
+def test_a_cancelled_letter_replays_alike():
+    # hurwitz_right 1 undoes hurwitz_left 1: its tau^-1 letter cancels
+    # the tau letter hurwitz_left prepended, in the engine and the shadow
+    D = presets.x2()
+    moves = (("hurwitz_left", (1,)), ("hurwitz_right", (1,)),
+             ("hurwitz_right", (2,)), ("certify_loose", (2,)))
+    _, cert = certify.replay(D, moves)
+    assert cert.certifications == ((3, "loose_pair"),)
+    assert verify_certificate(D, cert).accepted
+
+
 # --- the shadow's own rejections ----------------------------------------
 
 # The engine refuses each of these steps first, so verify_certificate
