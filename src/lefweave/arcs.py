@@ -96,6 +96,12 @@ class MatchingArc:
     """
 
     def __init__(self, system, base_index, word=()):
+        if not isinstance(system, ArcSystem):
+            raise ArcError("an arc needs an arc system", system=system)
+        base_index = exact_int(base_index, ArcError, "base edge index")
+        if not 1 <= base_index <= system.m - 1:
+            raise ArcError("base edge index out of range",
+                           base_index=base_index, m=system.m)
         self.system = system
         self.base_index = base_index
         self.word = tuple(word)

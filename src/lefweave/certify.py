@@ -49,6 +49,37 @@ VerifyResult = namedtuple(
     "VerifyResult", ("accepted", "trace", "reason", "final"))
 
 
+def _pair_refusal(i, lead, head, lattice, met):
+    """The loose-pair rule's checks on one pair, in the rule's order:
+    None if the rule certifies it, else the (message, context) of its
+    refusal.
+
+    ``lead`` is the cycle at position i and ``head`` the outermost
+    letter (center, exponent) of its follower's word, None if the word
+    has none.  The lead must meet ``met`` exactly once, up to sign:
+    the follower's class, or a class the lead meets as often.  The
+    pairing is taken only once the letter checks pass.
+    """
+    if not lead.stabilization_sphere:
+        return "cycle %d is not a stabilization sphere" % i, {"i": i}
+    if head is None:
+        return "certified cycle has no twist letter to match", {"i": i}
+    center, exp = head
+    sphere = lead.klass.coords
+    negated = tuple(-c for c in sphere)
+    if exp != 1 or center.coords not in (sphere, negated):
+        return ("outermost letter is not a single twist about the sphere",
+                {"i": i, "exponent": exp})
+    # tau_S is an isometry fixing S up to sign, so S meets the class of
+    # the rest of the word as often as it meets tau_S of it, the class
+    # the follower already holds
+    hits = pairing(lattice, lead.klass, met)
+    if abs(hits) != 1:
+        return ("sphere must meet the underlying class exactly once",
+                {"i": i, "pairing": hits})
+    return None
+
+
 def _loose_pair_refusal(D, i):
     """rule_loose_pair's verdict on the pair at position i: None if the
     rule certifies it, else the (message, context) of its refusal.
@@ -63,26 +94,10 @@ def _loose_pair_refusal(D, i):
     i = exact_int(i, CertifyError, "certify position")
     if not 1 <= i <= k:
         return "certify position out of range", {"i": i, "k": k}
-    lead = D.cycles[i - 1]
     follow = D.cycles[i % k]
-    if not lead.stabilization_sphere:
-        return "cycle %d is not a stabilization sphere" % i, {"i": i}
-    sphere = lead.klass
-    if not follow.word.letters:
-        return "certified cycle has no twist letter to match", {"i": i}
-    center, exp = follow.word.letters[0]
-    negated = tuple(-c for c in sphere.coords)
-    if exp != 1 or center.coords not in (sphere.coords, negated):
-        return ("outermost letter is not a single twist about the sphere",
-                {"i": i, "exponent": exp})
-    # tau_S is an isometry fixing S up to sign, so S meets the class of
-    # the rest of the word as often as it meets tau_S of it, the class
-    # the follower already holds
-    hits = pairing(D.fiber.lattice, sphere, follow.klass)
-    if abs(hits) != 1:
-        return ("sphere must meet the underlying class exactly once",
-                {"i": i, "pairing": hits})
-    return None
+    letters = follow.word.letters
+    return _pair_refusal(i, D.cycles[i - 1], letters[0] if letters else None,
+                         D.fiber.lattice, follow.klass)
 
 
 def rule_loose_pair(D, i):
@@ -397,18 +412,82 @@ def _child_steps(rank, label, marks):
                  for step, needs in rows)
 
 
+def _refused_tight_child(datum, marks, step, need):
+    """Whether ``step`` is a hurwitz row whose child would have exactly
+    ``need`` unflagged cycles, one of which the loose-pair rule refuses;
+    decided from the parent, with no engine call.
+
+    On a tight row, one whose need equals the steps left, such a child
+    can never finish.  With u steps left and u unflagged cycles, each
+    step must certify a distinct cycle, since no other step flags one
+    (see _child_steps).  Certifications move no cycle and change no
+    word, class or sphere flag, so every pair keeps the rule's verdict
+    it has in the child, and a refused cycle is never certified.
+
+    The child's twisted cycle is tau_c^e of the target, c the center.
+    Its head letter is the engine's merge of (c, e) into the target's
+    word.  When that letter is about c and passes the rule's letter
+    checks, its lead is +-c, and tau_c is an isometry fixing c up to
+    sign, so the lead meets the twisted class as often as the target,
+    |<c, target>| times.  When the new letter cancelled the target's
+    head, the head is a letter of the target's word, whose pairing the
+    parent does not hold, and the row is built as before.  Every other
+    unflagged cycle is a cycle of the parent, judged by its own letter
+    and class against its lead in the child.
+
+    Built, the child would shadow, through ``seen``, only nodes that
+    cannot finish either: an equal node at its level has the same cycles
+    and steps left, and a deeper one fewer steps.  So results are those
+    of building it.
+    """
+    tag, args = step
+    if tag not in ("hurwitz_left", "hurwitz_right"):
+        return False
+    k = len(marks)
+    a, b = args[0] - 1, args[0] % k
+    cycles, child = list(datum.cycles), list(marks)
+    if tag == "hurwitz_left":
+        at, center, target, exp = a, cycles[a], cycles[b], 1
+        cycles[b], child[a], child[b] = center, 0, marks[a]
+    else:
+        at, center, target, exp = b, cycles[b], cycles[a], -1
+        cycles[a], child[a], child[b] = center, marks[b], 0
+    if child.count(0) != need:
+        return False
+    twisted = target.word.prepend(center.klass, exp).letters
+    if not twisted or twisted[0][0].coords != center.klass.coords:
+        return False
+    lattice = datum.fiber.lattice
+    for p, mark in enumerate(child):
+        if mark:
+            continue
+        if p == at:
+            head, met = twisted[0], target.klass
+        else:
+            letters = cycles[p].word.letters
+            head, met = letters[0] if letters else None, cycles[p].klass
+        if _pair_refusal(p or k, cycles[p - 1], head, lattice,
+                         met) is not None:
+            return True
+    return False
+
+
 def _children(frontier, seen, spare):
     """Yield each unseen (child, moves, summary) of the frontier's
     (datum, marks, moves, summary) entries in canonical order, adding
     the child to ``seen``; a row whose need exceeds ``spare`` is dropped
     (see _child_steps).  A certify_loose row, the only kind with summary
-    entries, is built only if the rule's verdict certifies it: a refused
-    row makes no error and no engine call."""
+    entries, is built only if the rule's verdict certifies it, and a
+    tight hurwitz row only if _refused_tight_child does not refuse it: a
+    refused row makes no error and no engine call."""
     for datum, marks, moves, summary in frontier:
         for step, certs, need in _child_steps(
                 datum.fiber.lattice.rank, stabilize_label(datum.fiber), marks):
             if need > spare or certs and _loose_pair_refusal(
                     datum, step[1][0]) is not None:
+                continue
+            if need == spare and _refused_tight_child(
+                    datum, marks, step, need):
                 continue
             try:
                 child = apply_step(datum, step)
@@ -448,10 +527,11 @@ def search_certificate(D, depth, width):
     means "no certificate within bounds", nothing more.
 
     A level drops the children that cannot be finished in the steps left
-    (see _child_steps) when _guard says that no level from there on can
-    be truncated.  The survivors keep their order, and a dropped node can
-    shadow, through ``seen``, only a node that would be dropped too or is
-    never expanded: results and width semantics are those of building
+    (see _child_steps and _refused_tight_child) when _guard says that no
+    level from there on can be truncated.  The survivors keep their
+    order, and a dropped node can shadow, through ``seen``, only a node
+    that would be dropped too or is never expanded, or one that cannot
+    finish either: results and width semantics are those of building
     every level.
     """
     depth = exact_int(depth, CertifyError, "search bounds")

@@ -4,11 +4,12 @@ Each entry of MUTANTS gives a file under ``src/lefweave``, a text that
 occurs there exactly once, the text that replaces it, and a tier-1 test
 id that the mutant must fail.  The entries are one-token slips in the
 search's arguments (the guard's row count and level loop, the flag
-budget's readiness test, the loose-pair rule), in the shadow's own
-position coercion and letter cancellation, in the total-space homology
-formula and in the sign flip of the Gram check.  The three
-row-count slips passed all of tier-1 until the guard-premise tests of
-tests/test_search_shortcut.py.
+budget's readiness test, the loose-pair rule, and the tight hurwitz
+row verdict's unflagged count, cancelled-letter fallback and isometry
+pairing), in the shadow's own position coercion and letter
+cancellation, in the total-space homology formula and in the sign flip
+of the Gram check.  The three row-count slips passed all of tier-1
+until the guard-premise tests of tests/test_search_shortcut.py.
 
 For each entry the runner copies ``src`` to a temporary directory,
 applies the entry there and runs pytest on the named id alone, with
@@ -77,6 +78,18 @@ MUTANTS = (
      "return letters[1:]",
      "return letters",
      "tests/test_shadow.py::test_a_cancelled_letter_replays_alike"),
+    ("certify.py",
+     "if child.count(0) != need:",
+     "if child.count(0) > need:",
+     "tests/test_search_shortcut.py::test_tight_hurwitz_verdict_matches_the_built_child[x1]"),
+    ("certify.py",
+     "if not twisted or twisted[0][0].coords != center.klass.coords:",
+     "if not twisted:",
+     "tests/test_search_shortcut.py::test_tight_hurwitz_verdict_matches_the_built_child[x1]"),
+    ("certify.py",
+     "head, met = twisted[0], target.klass",
+     "head, met = twisted[0], center.klass",
+     "tests/test_search_shortcut.py::test_tight_hurwitz_verdict_matches_the_built_child[x2]"),
 )
 
 

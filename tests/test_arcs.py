@@ -107,10 +107,16 @@ def test_standard_arc_shape():
     (lambda: apply_half_twist(ArcSystem(3), standard_arc(ArcSystem(3), 1),
                               standard_arc(ArcSystem(3), 2), power="1"),
      "must be integral"),
+    (lambda: MatchingArc(ArcSystem(4), 1.5).key, "must be integral"),
+    (lambda: MatchingArc(ArcSystem(4), "1").key, "must be integral"),
+    (lambda: MatchingArc(ArcSystem(4), 0).key, "out of range"),
+    (lambda: MatchingArc(ArcSystem(4), 4).key, "out of range"),
+    (lambda: MatchingArc(4, 1).key, "needs an arc system"),
 ), ids=("one-point", "n-0", "foreign-center", "foreign-target",
         "fractional-m", "float-m", "string-m", "string-n",
         "fractional-arc-index", "string-arc-index", "fractional-power",
-        "string-power"))
+        "string-power", "fractional-base-index", "string-base-index",
+        "base-index-0", "base-index-m", "no-arc-system"))
 def test_a_malformed_arc_input_is_an_arc_error(build, message):
     with pytest.raises(ArcError, match=message):
         build()

@@ -7,9 +7,12 @@ a step flags at most one cycle, and every rotate or stabilize child with
 no step to spare (the flag budget; see certify._child_steps).  Any other
 child with no step to spare is dropped unless each unflagged cycle sits
 directly after a stabilization sphere, cyclically: only certifications
-can then finish it, and they move nothing and need a sphere lead.  The
-row test checks each row's need against a breadth-first search over the
-marks (0 unflagged, 1 loose, 2 sphere) alone.
+can then finish it, and they move nothing and need a sphere lead; a
+hurwitz child with no step to spare is dropped too when the loose-pair
+rule refuses one of its unflagged cycles.  The row test checks each
+row's need against a breadth-first search over the marks (0 unflagged,
+1 loose, 2 sphere) alone, and the tight-row oracle checks the hurwitz
+verdict against the built child.
 The reference below is the level loop that builds every level before
 it looks for an accepting node, kept here as the oracle: its results
 are the results the search must give, at every depth and width, on
@@ -430,12 +433,13 @@ def test_depth_3_builds_far_fewer_nodes(monkeypatch):
 def test_depth_3_uncapped_builds_fewer_nodes(monkeypatch):
     # the same searches made 1,437 calls with the flag budget alone, 775
     # once rotate and stabilize children needed a spare step, 648 once an
-    # unready hurwitz or certify_loose child needed one too, and 338 once
-    # refused certify_loose rows make no engine call
+    # unready hurwitz or certify_loose child needed one too, 338 once
+    # refused certify_loose rows make no engine call, and 192 once tight
+    # hurwitz rows the rule refuses make none
     total = 0
     for _, D in DATA:
         total += check(D, 3, 10 ** 9, monkeypatch)[0]
-    assert total == 338
+    assert total == 192
 
 
 def moved_marks(step, marks):
@@ -536,6 +540,64 @@ def test_verdict_and_rule_agree(name, D):
                 assert refusal == (str(err), err.context)
             else:
                 assert refusal is None
+
+
+def tight_verdicts(D, depth):
+    """The tight-row oracle: on every parent P of the uncapped reference
+    levels and every hurwitz row of P with its need, the search's verdict
+    certify._refused_tight_child equals building the child and finding
+    exactly ``need`` unflagged cycles, one of which the rule refuses.
+    When the new letter cancelled the target's head the verdict builds
+    the row.  A row the engine refuses builds nothing either way.
+    Return the letter branches met on children with exactly ``need``
+    unflagged cycles: "merged" where the twisted cycle's head letter is
+    about the center, "cancelled" where it is not."""
+    branches = set()
+    for level in reference_levels(D, depth)[:-1]:
+        for P, _, _ in level:
+            marks, k = entry(P)[1], len(P.cycles)
+            for step, _, need in certify._child_steps(
+                    P.fiber.lattice.rank, stabilize_label(P.fiber), marks):
+                if step[0] not in ("hurwitz_left", "hurwitz_right"):
+                    continue
+                try:
+                    child = certify.apply_step(P, step)
+                except LefweaveError:
+                    continue
+                a, b = step[1][0] - 1, step[1][0] % k
+                at, other = (a, b) if step[0] == "hurwitz_left" else (b, a)
+                head = child.cycles[at].word.letters[:1]
+                merged = bool(head) and \
+                    head[0][0].coords == child.cycles[other].klass.coords
+                unflagged = [j for j, c in enumerate(child.cycles)
+                             if not (c.loose_certified
+                                     or c.stabilization_sphere)]
+                exact = len(unflagged) == need
+                refused = exact and any(
+                    certify._loose_pair_refusal(child, j or k) is not None
+                    for j in unflagged)
+                verdict = certify._refused_tight_child(P, marks, step, need)
+                assert verdict == (refused and merged), (P, step)
+                if exact:
+                    branches.add("merged" if merged else "cancelled")
+    return branches
+
+
+@pytest.mark.parametrize("name,D", DATA, ids=[name for name, _ in DATA])
+def test_tight_hurwitz_verdict_matches_the_built_child(name, D):
+    tight_verdicts(D, 3)
+
+
+def test_tight_hurwitz_verdicts_reach_both_letter_branches():
+    assert set().union(*(tight_verdicts(D, 3) for _, D in DATA)) == {
+        "merged", "cancelled"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(*GUARD_SEEDS)
+def test_tight_hurwitz_verdict_matches_the_built_child_on_seeded_data(
+        seed, m, k, depth):
+    tight_verdicts(seeded_datum(random.Random(seed), m, k), depth)
 
 
 # every (datum, depth) whose certificate at the benchmark's width has moves
