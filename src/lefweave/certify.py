@@ -49,22 +49,22 @@ VerifyResult = namedtuple(
     "VerifyResult", ("accepted", "trace", "reason", "final"))
 
 
-def _pair_refusal(i, lead, head, lattice, met):
+def _pair_refusal(i, lead, letters, lattice, met):
     """The loose-pair rule's checks on one pair, in the rule's order:
     None if the rule certifies it, else the (message, context) of its
     refusal.
 
-    ``lead`` is the cycle at position i and ``head`` the outermost
-    letter (center, exponent) of its follower's word, None if the word
-    has none.  The lead must meet ``met`` exactly once, up to sign:
-    the follower's class, or a class the lead meets as often.  The
-    pairing is taken only once the letter checks pass.
+    ``lead`` is the cycle at position i and ``letters`` the (center,
+    exponent) letters of its follower's word, outermost first.  The
+    lead must meet ``met`` exactly once, up to sign: the follower's
+    class, or a class the lead meets as often.  The pairing is taken
+    only once the letter checks pass.
     """
     if not lead.stabilization_sphere:
         return "cycle %d is not a stabilization sphere" % i, {"i": i}
-    if head is None:
+    if not letters:
         return "certified cycle has no twist letter to match", {"i": i}
-    center, exp = head
+    center, exp = letters[0]
     sphere = lead.klass.coords
     negated = tuple(-c for c in sphere)
     if exp != 1 or center.coords not in (sphere, negated):
@@ -95,8 +95,7 @@ def _loose_pair_refusal(D, i):
     if not 1 <= i <= k:
         return "certify position out of range", {"i": i, "k": k}
     follow = D.cycles[i % k]
-    letters = follow.word.letters
-    return _pair_refusal(i, D.cycles[i - 1], letters[0] if letters else None,
+    return _pair_refusal(i, D.cycles[i - 1], follow.word.letters,
                          D.fiber.lattice, follow.klass)
 
 
@@ -462,11 +461,10 @@ def _refused_tight_child(datum, marks, step, need):
         if mark:
             continue
         if p == at:
-            head, met = twisted[0], target.klass
+            letters, met = twisted, target.klass
         else:
-            letters = cycles[p].word.letters
-            head, met = letters[0] if letters else None, cycles[p].klass
-        if _pair_refusal(p or k, cycles[p - 1], head, lattice,
+            letters, met = cycles[p].word.letters, cycles[p].klass
+        if _pair_refusal(p or k, cycles[p - 1], letters, lattice,
                          met) is not None:
             return True
     return False

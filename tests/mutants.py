@@ -87,8 +87,8 @@ MUTANTS = (
      "if not twisted:",
      "tests/test_search_shortcut.py::test_tight_hurwitz_verdict_matches_the_built_child[x1]"),
     ("certify.py",
-     "head, met = twisted[0], target.klass",
-     "head, met = twisted[0], center.klass",
+     "letters, met = twisted, target.klass",
+     "letters, met = twisted, center.klass",
      "tests/test_search_shortcut.py::test_tight_hurwitz_verdict_matches_the_built_child[x2]"),
 )
 
