@@ -87,7 +87,8 @@ class MatchingArc:
     """An unoriented arc between two marked points, up to isotopy.
 
     `word` is a tuple of (arc, power) half-twist letters, leftmost
-    outermost, applied to the standard edge with index `base_index`.
+    outermost, applied to the standard edge with index `base_index`;
+    each arc is of a system with as many points, and each power an int.
     Two arcs with the same system size, base edge and reduced
     sigma-letters are the same mapping class applied to the same edge,
     so they are equal outright; any other pair is compared, and every
@@ -95,7 +96,7 @@ class MatchingArc:
     sigma-letters on first use.
     """
 
-    def __init__(self, system, base_index, word=()):
+    def __init__(self, system, base_index, word=None):
         if not isinstance(system, ArcSystem):
             raise ArcError("an arc needs an arc system", system=system)
         base_index = exact_int(base_index, ArcError, "base edge index")
@@ -104,7 +105,12 @@ class MatchingArc:
                            base_index=base_index, m=system.m)
         self.system = system
         self.base_index = base_index
-        self.word = tuple(word)
+        try:
+            self.word = () if word is None else tuple(
+                _letter(system, *letter) for letter in word)
+        except TypeError:  # no sequence of pairs
+            raise ArcError("an arc's word must hold (arc, power) letters",
+                           word=word) from None
         self._gens = None
         self._key = None
 
@@ -144,6 +150,14 @@ class MatchingArc:
 
     def __repr__(self):
         return "MatchingArc(m=%d, key=%r)" % (self.system.m, self.key)
+
+
+def _letter(system, arc, power):
+    """The half-twist letter (arc, power) with an int power, checked to
+    twist about an arc of ``system``'s size."""
+    if not isinstance(arc, MatchingArc) or arc.system.m != system.m:
+        raise ArcError("arcs belong to a different system", m=system.m)
+    return arc, exact_int(power, ArcError, "half-twist power")
 
 
 def _letter_gens(arc, power):
@@ -191,15 +205,14 @@ def standard_arc(system, k):
 
 def apply_half_twist(system, arc, target, power=1):
     """Image of `target` under the half-twist along `arc`, to the power."""
-    if arc.system.m != system.m or target.system.m != system.m:
-        raise ArcError(
-            "arcs belong to a different system", m=system.m
-        )
-    power = exact_int(power, ArcError, "half-twist power")
+    arc, power = _letter(system, arc, power)
+    if target.system.m != system.m:
+        raise ArcError("arcs belong to a different system", m=system.m)
     if power == 0:
         return target
-    image = MatchingArc(system, target.base_index,
-                        ((arc, power),) + target.word)
+    image = MatchingArc(system, target.base_index)
+    # the letter and the target's word are checked already
+    image.word = ((arc, power),) + target.word
     # gens(image) = gens(letter) + gens(target), applied right to left;
     # built now, so a long chain of twists never recurses to get them
     image._gens = _free_reduce(

@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 
 from . import LefweaveError, exact_int
-from .lattice import pairing
+from .lattice import pairing, twist_power
 from .presentation import (
     LefschetzDatum,
     boundary_connect_sum,
@@ -54,11 +54,10 @@ def _pair_refusal(i, lead, letters, lattice, met):
     None if the rule certifies it, else the (message, context) of its
     refusal.
 
-    ``lead`` is the cycle at position i and ``letters`` the (center,
-    exponent) letters of its follower's word, outermost first.  The
-    lead must meet ``met`` exactly once, up to sign: the follower's
-    class, or a class the lead meets as often.  The pairing is taken
-    only once the letter checks pass.
+    ``lead`` is the cycle at position i, and ``letters`` and ``met`` are
+    the (center, exponent) letters of its follower's word, outermost
+    first, and the follower's class.  The pairing is taken only once the
+    letter checks pass.
     """
     if not lead.stabilization_sphere:
         return "cycle %d is not a stabilization sphere" % i, {"i": i}
@@ -81,20 +80,12 @@ def _pair_refusal(i, lead, letters, lattice, met):
 
 
 def _loose_pair_refusal(D, i):
-    """rule_loose_pair's verdict on the pair at position i: None if the
-    rule certifies it, else the (message, context) of its refusal.
-
-    The checks run in the rule's order and build nothing, so the search
-    can skip a refused pair without an error.  A position that is no
-    integer is a malformed step, not a refused pair: it raises.
+    """rule_loose_pair's verdict on the pair at int position i, 1 <= i <=
+    k, of a datum of k >= 2 cycles: None if the rule certifies it, else
+    the (message, context) of its refusal.  It builds nothing, so the
+    search can skip a refused pair without an error.
     """
-    k = len(D.cycles)
-    if k < 2:
-        return "need at least two cycles to certify", {"k": k}
-    i = exact_int(i, CertifyError, "certify position")
-    if not 1 <= i <= k:
-        return "certify position out of range", {"i": i, "k": k}
-    follow = D.cycles[i % k]
+    follow = D.cycles[i % len(D.cycles)]
     return _pair_refusal(i, D.cycles[i - 1], follow.word.letters,
                          D.fiber.lattice, follow.klass)
 
@@ -106,13 +97,18 @@ def rule_loose_pair(D, i):
     directly before a cycle tau_S(w) whose underlying class meets S in
     a single point, so the latter is attached along a loose Legendrian.
     """
+    k = len(D.cycles)
+    if k < 2:
+        raise CertifyError("need at least two cycles to certify", k=k)
+    i = exact_int(i, CertifyError, "certify position")
+    if not 1 <= i <= k:
+        raise CertifyError("certify position out of range", i=i, k=k)
     refusal = _loose_pair_refusal(D, i)
     if refusal is not None:
         message, context = refusal
         raise CertifyError(message, **context)
     cycles = list(D.cycles)
-    b = exact_int(i, CertifyError, "certify position") % len(cycles)
-    cycles[b] = cycles[b].as_loose()
+    cycles[i % k] = cycles[i % k].as_loose()
     return LefschetzDatum(D.fiber, cycles, sf_spheres=D.sf_spheres)
 
 
@@ -277,9 +273,7 @@ def verify_certificate(D, cert):
     except (TypeError, ValueError):
         reason = "malformed certificate"
         return VerifyResult(False, ("rejected: " + reason,), reason, None)
-    trace = []
-    current = D
-    collected = []
+    trace, current, collected = [], D, []
     for idx, step in enumerate(cert.moves, start=1):
         k = len(current.cycles)
         try:
@@ -340,14 +334,12 @@ def flexify_after_handles(D_sf):
         raise CertifyError(
             "cycle %d was neither subflexibilized nor a stabilization "
             "sphere" % pos, i=pos)
-    pairs = sorted(chosen.items())
-    inserts, hurwitz, certs = [], [], []
-    for j, (pos, label) in enumerate(pairs):
-        q = pos + j
-        inserts.append(("insert_sphere", (q, label)))
-        hurwitz.append(("hurwitz_right", (q,)))
-        certs.append(("certify_loose", (q,)))
-    return replay(D_sf, inserts + hurwitz + certs)
+    # each earlier insert shifts the later positions by one
+    spots = [(pos + j, label)
+             for j, (pos, label) in enumerate(sorted(chosen.items()))]
+    return replay(D_sf, [("insert_sphere", spot) for spot in spots]
+                  + [("hurwitz_right", (q,)) for q, _ in spots]
+                  + [("certify_loose", (q,)) for q, _ in spots])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -423,16 +415,11 @@ def _refused_tight_child(datum, marks, step, need):
     word, class or sphere flag, so every pair keeps the rule's verdict
     it has in the child, and a refused cycle is never certified.
 
-    The child's twisted cycle is tau_c^e of the target, c the center.
-    Its head letter is the engine's merge of (c, e) into the target's
-    word.  When that letter is about c and passes the rule's letter
-    checks, its lead is +-c, and tau_c is an isometry fixing c up to
-    sign, so the lead meets the twisted class as often as the target,
-    |<c, target>| times.  When the new letter cancelled the target's
-    head, the head is a letter of the target's word, whose pairing the
-    parent does not hold, and the row is built as before.  Every other
-    unflagged cycle is a cycle of the parent, judged by its own letter
-    and class against its lead in the child.
+    The child's twisted cycle is tau_c^e of the target, c the center,
+    with the word and class the engine gives it; every other unflagged
+    cycle is a cycle of the parent.  Each is judged by its letters and
+    class against its lead in the child.  A twist the engine refuses
+    raises here as it does there.
 
     Built, the child would shadow, through ``seen``, only nodes that
     cannot finish either: an equal node at its level has the same cycles
@@ -444,24 +431,21 @@ def _refused_tight_child(datum, marks, step, need):
         return False
     k = len(marks)
     a, b = args[0] - 1, args[0] % k
+    # the center moves from ``at`` to ``other``, the target's place, and
+    # the twisted target takes ``at``
+    at, other, exp = (a, b, 1) if tag == "hurwitz_left" else (b, a, -1)
     cycles, child = list(datum.cycles), list(marks)
-    if tag == "hurwitz_left":
-        at, center, target, exp = a, cycles[a], cycles[b], 1
-        cycles[b], child[a], child[b] = center, 0, marks[a]
-    else:
-        at, center, target, exp = b, cycles[b], cycles[a], -1
-        cycles[a], child[a], child[b] = center, marks[b], 0
+    center, target = cycles[at], cycles[other]
+    cycles[other], child[other], child[at] = center, marks[at], 0
     if child.count(0) != need:
-        return False
-    twisted = target.word.prepend(center.klass, exp).letters
-    if not twisted or twisted[0][0].coords != center.klass.coords:
         return False
     lattice = datum.fiber.lattice
     for p, mark in enumerate(child):
         if mark:
             continue
         if p == at:
-            letters, met = twisted, target.klass
+            letters = target.word.prepend(center.klass, exp).letters
+            met = twist_power(lattice, center.klass, target.klass, exp)
         else:
             letters, met = cycles[p].word.letters, cycles[p].klass
         if _pair_refusal(p or k, cycles[p - 1], letters, lattice,
@@ -477,17 +461,18 @@ def _children(frontier, seen, spare):
     (see _child_steps).  A certify_loose row, the only kind with summary
     entries, is built only if the rule's verdict certifies it, and a
     tight hurwitz row only if _refused_tight_child does not refuse it: a
-    refused row makes no error and no engine call."""
+    refused row makes no error and no engine call.  A row the engine
+    refuses is skipped, whether the verdict or the build meets it."""
     for datum, marks, moves, summary in frontier:
         for step, certs, need in _child_steps(
                 datum.fiber.lattice.rank, stabilize_label(datum.fiber), marks):
             if need > spare or certs and _loose_pair_refusal(
                     datum, step[1][0]) is not None:
                 continue
-            if need == spare and _refused_tight_child(
-                    datum, marks, step, need):
-                continue
             try:
+                if need == spare and _refused_tight_child(
+                        datum, marks, step, need):
+                    continue
                 child = apply_step(datum, step)
             except LefweaveError:
                 continue

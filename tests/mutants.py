@@ -4,11 +4,11 @@ Each entry of MUTANTS gives a file under ``src/lefweave``, a text that
 occurs there exactly once, the text that replaces it, and a tier-1 test
 id that the mutant must fail.  The entries are one-token slips in the
 search's arguments (the guard's row count and level loop, the flag
-budget's readiness test, the loose-pair rule, and the tight hurwitz
-row verdict's unflagged count, cancelled-letter fallback and isometry
-pairing), in the shadow's own position coercion and letter
-cancellation, in the total-space homology formula and in the sign flip
-of the Gram check.  The three row-count slips passed all of tier-1
+budget's readiness test, the loose-pair rule's pairing and position
+range, and the tight hurwitz row verdict's unflagged count and twisted
+class), in the shadow's own position coercion and letter cancellation,
+in the total-space homology formula and its two internal checks, and in
+the sign flip of the Gram check.  The three row-count slips passed all of tier-1
 until the guard-premise tests of tests/test_search_shortcut.py.
 
 For each entry the runner copies ``src`` to a temporary directory,
@@ -83,13 +83,21 @@ MUTANTS = (
      "if child.count(0) > need:",
      "tests/test_search_shortcut.py::test_tight_hurwitz_verdict_matches_the_built_child[x1]"),
     ("certify.py",
-     "if not twisted or twisted[0][0].coords != center.klass.coords:",
-     "if not twisted:",
-     "tests/test_search_shortcut.py::test_tight_hurwitz_verdict_matches_the_built_child[x1]"),
+     "met = twist_power(lattice, center.klass, target.klass, exp)",
+     "met = target.klass",
+     "tests/test_search_shortcut.py::test_tight_hurwitz_verdict_matches_the_built_child[cancelled-head]"),
     ("certify.py",
-     "letters, met = twisted, target.klass",
-     "letters, met = twisted, center.klass",
-     "tests/test_search_shortcut.py::test_tight_hurwitz_verdict_matches_the_built_child[x2]"),
+     "if not 1 <= i <= k:",
+     "if not 0 <= i <= k:",
+     "tests/test_certify.py::test_rule_loose_pair_rejections"),
+    ("invariants.py",
+     "if chi != _euler_formula(D):",
+     "if False:",
+     "tests/test_invariants.py::test_homology_off_the_euler_formula_raises"),
+    ("invariants.py",
+     "if rem:",
+     "if False:",
+     "tests/test_invariants.py::test_a_half_integral_kernel_pairing_raises"),
 )
 
 

@@ -112,11 +112,28 @@ def test_standard_arc_shape():
     (lambda: MatchingArc(ArcSystem(4), 0).key, "out of range"),
     (lambda: MatchingArc(ArcSystem(4), 4).key, "out of range"),
     (lambda: MatchingArc(4, 1).key, "needs an arc system"),
+    (lambda: MatchingArc(ArcSystem(4), 1, ((1, 1),)).key,
+     "different system"),
+    (lambda: MatchingArc(ArcSystem(4), 1, ((None, 1.5),)).key,
+     "different system"),
+    (lambda: MatchingArc(ArcSystem(4), 1, 5).key,
+     "must hold \\(arc, power\\) letters"),
+    (lambda: MatchingArc(ArcSystem(4), 1,
+                         (standard_arc(ArcSystem(4), 2),)).key,
+     "must hold \\(arc, power\\) letters"),
+    (lambda: MatchingArc(ArcSystem(4), 1,
+                         ((standard_arc(ArcSystem(4), 2), 1.5),)).key,
+     "must be integral"),
+    (lambda: MatchingArc(ArcSystem(4), 1,
+                         ((standard_arc(ArcSystem(5), 4), 1),)).key,
+     "different system"),
 ), ids=("one-point", "n-0", "foreign-center", "foreign-target",
         "fractional-m", "float-m", "string-m", "string-n",
         "fractional-arc-index", "string-arc-index", "fractional-power",
         "string-power", "fractional-base-index", "string-base-index",
-        "base-index-0", "base-index-m", "no-arc-system"))
+        "base-index-0", "base-index-m", "no-arc-system", "int-letter-arc",
+        "no-letter-arc", "int-word", "bare-letter", "fractional-letter-power",
+        "foreign-letter-arc"))
 def test_a_malformed_arc_input_is_an_arc_error(build, message):
     with pytest.raises(ArcError, match=message):
         build()

@@ -149,6 +149,7 @@ def test_rule_loose_pair_rejections():
     check((sphere, VanishingCycle(lattice, TwistWord(((e, 1),), e))), 1,
           "single twist")
     check((sphere, trivial_cycle(fiber, e)), 1, "no twist letter")
+    check((sphere, good_word), 0, "out of range")
     check((sphere, good_word), 3, "out of range")
     # the transverse-point hypothesis: a handle missing the cycle
     fiber0, s0 = handle_fiber(hit=0)

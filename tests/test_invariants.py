@@ -28,8 +28,11 @@ import random
 
 import pytest
 
-from lefweave.fibers import FiberModel, PlumbingTree, plumbing_lattice
+from lefweave import invariants
+from lefweave.fibers import FiberModel, PlumbingTree, ak_matching_fiber, \
+    plumbing_lattice
 from lefweave.invariants import (
+    InvariantError,
     form_invariants,
     middle_intersection_form,
     total_space_homology,
@@ -346,3 +349,26 @@ def test_signature_repairs_zero_pivots():
         rank, _, signature = form_invariants(M, True)
         assert rank == sympy.Matrix(M).rank() < size
         assert signature == _sympy_signature(sympy, M), M
+
+
+def test_homology_off_the_euler_formula_raises(monkeypatch):
+    # the internal check: the homology's chi must be the formula's
+    formula = invariants._euler_formula
+    monkeypatch.setattr(invariants, "_euler_formula",
+                        lambda D: formula(D) + 1)
+    with pytest.raises(InvariantError,
+                       match="homology disagrees with the Euler formula"):
+        total_space_homology(x1_datum())
+
+
+def test_a_half_integral_kernel_pairing_raises():
+    # the internal check: (1, 0) and (0, 1) span no kernel of d for the
+    # cycles e1 and e2 at n = 1, and they pair to 1/2
+    fiber = ak_matching_fiber(3, 1)
+    D = LefschetzDatum(fiber, tuple(
+        trivial_cycle(fiber, fiber.basis_sphere(label))
+        for label in ("e1", "e2")))
+    with pytest.raises(InvariantError,
+                       match="kernel pairing is not integral") as err:
+        invariants._middle_form(D, [(1, 0), (0, 1)])
+    assert err.value.context == {"doubled": -1}
