@@ -96,7 +96,7 @@ class MatchingArc:
     sigma-letters on first use.
     """
 
-    def __init__(self, system, base_index, word=None):
+    def __init__(self, system, base_index, word=()):
         if not isinstance(system, ArcSystem):
             raise ArcError("an arc needs an arc system", system=system)
         base_index = exact_int(base_index, ArcError, "base edge index")
@@ -106,8 +106,7 @@ class MatchingArc:
         self.system = system
         self.base_index = base_index
         try:
-            self.word = () if word is None else tuple(
-                _letter(system, *letter) for letter in word)
+            self.word = tuple(_letter(system, *letter) for letter in word)
         except TypeError:  # no sequence of pairs
             raise ArcError("an arc's word must hold (arc, power) letters",
                            word=word) from None
@@ -210,9 +209,8 @@ def apply_half_twist(system, arc, target, power=1):
         raise ArcError("arcs belong to a different system", m=system.m)
     if power == 0:
         return target
-    image = MatchingArc(system, target.base_index)
-    # the letter and the target's word are checked already
-    image.word = ((arc, power),) + target.word
+    image = MatchingArc(system, target.base_index,
+                        ((arc, power),) + target.word)
     # gens(image) = gens(letter) + gens(target), applied right to left;
     # built now, so a long chain of twists never recurses to get them
     image._gens = _free_reduce(

@@ -273,7 +273,9 @@ def verify_certificate(D, cert):
     except (TypeError, ValueError):
         reason = "malformed certificate"
         return VerifyResult(False, ("rejected: " + reason,), reason, None)
-    trace, current, collected = [], D, []
+    trace = []
+    current = D
+    collected = []
     for idx, step in enumerate(cert.moves, start=1):
         k = len(current.cycles)
         try:
@@ -334,12 +336,14 @@ def flexify_after_handles(D_sf):
         raise CertifyError(
             "cycle %d was neither subflexibilized nor a stabilization "
             "sphere" % pos, i=pos)
-    # each earlier insert shifts the later positions by one
-    spots = [(pos + j, label)
-             for j, (pos, label) in enumerate(sorted(chosen.items()))]
-    return replay(D_sf, [("insert_sphere", spot) for spot in spots]
-                  + [("hurwitz_right", (q,)) for q, _ in spots]
-                  + [("certify_loose", (q,)) for q, _ in spots])
+    pairs = sorted(chosen.items())
+    inserts, hurwitz, certs = [], [], []
+    for j, (pos, label) in enumerate(pairs):
+        q = pos + j
+        inserts.append(("insert_sphere", (q, label)))
+        hurwitz.append(("hurwitz_right", (q,)))
+        certs.append(("certify_loose", (q,)))
+    return replay(D_sf, inserts + hurwitz + certs)
 
 
 @functools.lru_cache(maxsize=1024)

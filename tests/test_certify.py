@@ -134,11 +134,12 @@ def test_rule_loose_pair_rejections():
     sphere = trivial_cycle(fiber, s, stabilization_sphere=True)
     unflagged = trivial_cycle(fiber, s)
 
-    def check(cycles, i, fragment):
+    def check(cycles, i, fragment, context=None):
         try:
             rule_loose_pair(LefschetzDatum(fiber, cycles), i)
         except CertifyError as err:
             assert fragment in str(err)
+            assert context is None or err.context == context
         else:
             raise AssertionError("expected rejection: " + fragment)
 
@@ -149,8 +150,11 @@ def test_rule_loose_pair_rejections():
     check((sphere, VanishingCycle(lattice, TwistWord(((e, 1),), e))), 1,
           "single twist")
     check((sphere, trivial_cycle(fiber, e)), 1, "no twist letter")
-    check((sphere, good_word), 0, "out of range")
-    check((sphere, good_word), 3, "out of range")
+    # the position checks, before any verdict
+    check((sphere, good_word), 0, "out of range", {"i": 0, "k": 2})
+    check((sphere, good_word), 3, "out of range", {"i": 3, "k": 2})
+    check((sphere, good_word), 1.5, "must be integral", {"values": (1.5,)})
+    check((sphere,), 1, "at least two cycles", {"k": 1})
     # the transverse-point hypothesis: a handle missing the cycle
     fiber0, s0 = handle_fiber(hit=0)
     e0 = fiber0.basis_sphere("e1")
