@@ -97,8 +97,7 @@ class MatchingArc:
     """
 
     def __init__(self, system, base_index, word=()):
-        if not isinstance(system, ArcSystem):
-            raise ArcError("an arc needs an arc system", system=system)
+        _check_arcs(system)
         base_index = exact_int(base_index, ArcError, "base edge index")
         if not 1 <= base_index <= system.m - 1:
             raise ArcError("base edge index out of range",
@@ -151,11 +150,20 @@ class MatchingArc:
         return "MatchingArc(m=%d, key=%r)" % (self.system.m, self.key)
 
 
+def _check_arcs(system, *arcs):
+    """Raise ArcError unless ``system`` is an arc system and each of
+    ``arcs`` an arc of a system of its size."""
+    if not isinstance(system, ArcSystem):
+        raise ArcError("an arc needs an arc system", system=system)
+    for arc in arcs:
+        if not isinstance(arc, MatchingArc) or arc.system.m != system.m:
+            raise ArcError("arcs belong to a different system", m=system.m)
+
+
 def _letter(system, arc, power):
     """The half-twist letter (arc, power) with an int power, checked to
     twist about an arc of ``system``'s size."""
-    if not isinstance(arc, MatchingArc) or arc.system.m != system.m:
-        raise ArcError("arcs belong to a different system", m=system.m)
+    _check_arcs(system, arc)
     return arc, exact_int(power, ArcError, "half-twist power")
 
 
@@ -194,6 +202,7 @@ class ArcSystem:
 
 def standard_arc(system, k):
     """The straight edge from p_k to p_{k+1}."""
+    _check_arcs(system)
     k = exact_int(k, ArcError, "standard arc index")
     if not 1 <= k <= system.m - 1:
         raise ArcError(
@@ -204,9 +213,8 @@ def standard_arc(system, k):
 
 def apply_half_twist(system, arc, target, power=1):
     """Image of `target` under the half-twist along `arc`, to the power."""
-    arc, power = _letter(system, arc, power)
-    if target.system.m != system.m:
-        raise ArcError("arcs belong to a different system", m=system.m)
+    _check_arcs(system, arc, target)
+    power = exact_int(power, ArcError, "half-twist power")
     if power == 0:
         return target
     image = MatchingArc(system, target.base_index,
@@ -238,6 +246,7 @@ def arc_to_class(system, arc):
     The sign of a matching sphere's class is a choice; the first nonzero
     coordinate is normalized positive.
     """
+    _check_arcs(system, arc)
     L = system.lattice
     v = L.basis_sphere(arc.base_index)
     for k, s in reversed(arc._mapping_gens()):
@@ -252,6 +261,7 @@ def induced_word(system, arc):
     class; evaluating the word recovers arc_to_class up to the sign
     normalization (twists about S and -S agree).
     """
+    _check_arcs(system, arc)
     letters = tuple(
         (arc_to_class(system, inner), power) for inner, power in arc.word)
     return TwistWord(letters, system.lattice.basis_sphere(arc.base_index))

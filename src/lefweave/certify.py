@@ -373,13 +373,31 @@ def _child_steps(rank, label, marks):
     needs u + 1.  The verdict reads the child's marks alone, so an equal
     child reached at the same level or deeper is dropped too.
 
-    A rotate or stabilize child needs one step to spare: certifications
-    change only flags; rotate keeps every cyclic neighbour, and
-    stabilize appends a sphere with an empty word that no letter is
-    about, so it can neither lead nor be certified.  The same
+    A rotate child needs one step to spare: certifications change only
+    flags and rotate keeps every cyclic neighbour, so the same
     certifications, re-indexed, finish the parent one level sooner, and
     a search with no truncated level returns at that level or before:
     the child is never expanded.
+
+    A stabilize child needs one step to spare, and a second one if the
+    parent has k >= 2 cycles.  Its new sphere s, appended after cycle k,
+    has an empty word, so it can never be certified, and no letter of
+    any cycle is about s, so it cannot lead a certified pair.  With
+    u + 1 steps left the child makes its u certifications and exactly
+    one other move, which
+    - avoids s: the parent makes the same move, or none if it is a
+      stabilize, and the same certifications, re-indexed, so it
+      finishes a level sooner, as above;
+    - twists s, as the target of a hurwitz move: the twisted copy is
+      unflagged, one cycle more than the steps left can certify;
+    - twists a cycle about s: the twisted copy is unflagged, and its
+      new letter about s leads its word.  hurwitz_right k puts s before
+      the copy, but with exponent -1, which the rule refuses;
+      hurwitz_left k + 1 moves s to position 1 and the copy to k + 1,
+      after cycle k, which is not +-s.
+    At k = 1 the child has two cycles and the wrap puts s directly
+    before the twisted copy: stabilize, hurwitz_left 2, certify_loose 1
+    finishes, so the need stays u + 1 there.
     """
     k, u = len(marks), marks.count(0)
 
@@ -402,7 +420,7 @@ def _child_steps(rank, label, marks):
                     for i, a, b in pairs if a == 2)
     for j in range(rank):
         unit = tuple(1 if t == j else 0 for t in range(rank))
-        rows.append((("stabilize", (unit, label)), u + 1))
+        rows.append((("stabilize", (unit, label)), u + 1 + (k >= 2)))
     return tuple((step, step_certifications(step, k), needs)
                  for step, needs in rows)
 
@@ -513,8 +531,9 @@ def search_certificate(D, depth, width):
     built.  Depth counts every step, certifications included.  A miss
     means "no certificate within bounds", nothing more.
 
-    A level drops the children that cannot be finished in the steps left
-    (see _child_steps and _refused_tight_child) when _guard says that no
+    A level drops the children that cannot be finished in the steps
+    left, or not before a node of an earlier level accepts (see
+    _child_steps and _refused_tight_child), when _guard says that no
     level from there on can be truncated.  The survivors keep their
     order, and a dropped node can shadow, through ``seen``, only a node
     that would be dropped too or is never expanded, or one that cannot

@@ -32,6 +32,7 @@ from lefweave.arcs import (
     _dynnikov_key,
     apply_half_twist,
     arc_to_class,
+    induced_word,
     standard_arc,
 )
 from lefweave.lattice import IntLattice, pairing, twist_power
@@ -137,6 +138,30 @@ def test_standard_arc_shape():
 def test_a_malformed_arc_input_is_an_arc_error(build, message):
     with pytest.raises(ArcError, match=message):
         build()
+
+
+@pytest.mark.parametrize("call,message,context", (
+    (lambda system, a: apply_half_twist(system, a, 5),
+     "arcs belong to a different system", {"m": 4}),
+    (lambda system, a: apply_half_twist(4, a, a),
+     "an arc needs an arc system", {"system": 4}),
+    (lambda system, a: standard_arc(4, 1),
+     "an arc needs an arc system", {"system": 4}),
+    (lambda system, a: induced_word(4, a),
+     "an arc needs an arc system", {"system": 4}),
+    (lambda system, a: arc_to_class(system, 5),
+     "arcs belong to a different system", {"m": 4}),
+    (lambda system, a: arc_to_class(system, standard_arc(ArcSystem(5), 1)),
+     "arcs belong to a different system", {"m": 4}),
+), ids=("int-target", "int-twist-system", "int-standard-system",
+        "int-induced-system", "int-class-arc", "foreign-class-arc"))
+def test_a_non_arc_argument_is_an_arc_error(call, message, context):
+    """Every public arc function checks its system and arcs with the
+    constructor's check, so a wrong argument is no bare AttributeError."""
+    system = ArcSystem(4)
+    with pytest.raises(ArcError) as caught:
+        call(system, standard_arc(system, 1))
+    assert (str(caught.value), caught.value.context) == (message, context)
 
 
 def test_half_twist_fixes_own_arc():
