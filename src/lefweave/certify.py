@@ -373,11 +373,23 @@ def _child_steps(rank, label, marks):
     needs u + 1.  The verdict reads the child's marks alone, so an equal
     child reached at the same level or deeper is dropped too.
 
-    A rotate child needs one step to spare: certifications change only
-    flags and rotate keeps every cyclic neighbour, so the same
-    certifications, re-indexed, finish the parent one level sooner, and
-    a search with no truncated level returns at that level or before:
-    the child is never expanded.
+    A rotate child needs two steps to spare.  Rotate only relabels the
+    cyclic positions and keeps every flag and every cyclic neighbour.
+    With u + 1 steps left the child makes its u certifications and
+    exactly one other move, which is
+    - a hurwitz or certify_loose move: the parent makes it, re-indexed,
+      and the same certifications, re-indexed;
+    - a rotate: the parent skips it and makes the certifications,
+      re-indexed;
+    - a stabilize: its new sphere has an empty word, so it can never be
+      certified, and no letter is about it, so it cannot lead a
+      certified pair; each certified pair is then a cyclic pair of the
+      child before the stabilize, and the parent makes the same
+      certifications, re-indexed, without it.
+    In each case the parent finishes one level sooner, and a search
+    with no truncated level returns at that level or before: the child
+    is never expanded.  u + 2 is the need this argues, not one shown
+    tight.
 
     A stabilize child needs one step to spare, and a second one if the
     parent has k >= 2 cycles.  Its new sphere s, appended after cycle k,
@@ -411,7 +423,7 @@ def _child_steps(rank, label, marks):
     rows = []
     if k >= 2:
         pairs = [(i, marks[i - 1], marks[i % k]) for i in range(1, k + 1)]
-        rows.append((("rotate", ()), u + 1))
+        rows.append((("rotate", ()), u + 2))
         rows.extend((("hurwitz_left", (i,)), need(i, 0, a))
                     for i, a, b in pairs)
         rows.extend((("hurwitz_right", (i,)), need(i, b, 0))

@@ -4,13 +4,13 @@ Each entry of MUTANTS gives a file under ``src/lefweave``, a text that
 occurs there exactly once, the text that replaces it, and a tier-1 test
 id that the mutant must fail.  The entries are one-token slips in the
 search's arguments (the guard's row count and level loop, the flag
-budget's readiness test and the stabilize row's second spare step, the
-loose-pair rule's pairing and position range, and the tight hurwitz row
-verdict's unflagged count and twisted class), in the shadow's own
-position coercion and letter cancellation, in the total-space homology
-formula and its two internal checks, and in the sign flip of the Gram
-check.  The three row-count slips passed all of tier-1 until the
-guard-premise tests of tests/test_search_shortcut.py.
+budget's readiness test and the rotate and stabilize rows' second spare
+step, the loose-pair rule's pairing and position range, and the tight
+hurwitz row verdict's unflagged count and twisted class), in the
+shadow's own position coercion and letter cancellation, in the
+total-space homology formula and its two internal checks, and in the
+sign flip of the Gram check.  The three row-count slips passed all of
+tier-1 until the guard-premise tests of tests/test_search_shortcut.py.
 
 For each entry the runner copies ``src`` to a temporary directory,
 applies the entry there and runs pytest on the named id alone, with
@@ -62,6 +62,10 @@ MUTANTS = (
     ("certify.py",
      "m == 0 and child[j - 1] != 2",
      "m == 0 and child[j - 1] == 0",
+     "tests/test_search_shortcut.py::test_child_steps_need_a_spare_step_for_rotate_and_stabilize[2]"),
+    ("certify.py",
+     '("rotate", ()), u + 2',
+     '("rotate", ()), u + 1',
      "tests/test_search_shortcut.py::test_child_steps_need_a_spare_step_for_rotate_and_stabilize[2]"),
     ("certify.py",
      "u + 1 + (k >= 2)",
